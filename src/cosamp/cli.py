@@ -97,7 +97,7 @@ def main(argv=None) -> int:
             "gen-signal": cmd_gen_signal,
         }[args.command]
         return handler(args, cfg, out_dir)
-    except (SolverFailure, RipBudgetError) as exc:
+    except (SolverFailure, RipBudgetError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, ValueError, KeyError) as exc:

@@ -359,6 +359,7 @@ class CellResult:
 
 
 def run_cell(cfg: dict, cell: dict, trials: int) -> CellResult:
+    """Run a cell's trials; a trial that raises counts against the success rate."""
     outcomes = []
     failures = 0
     for t in range(trials):
@@ -371,7 +372,7 @@ def run_cell(cfg: dict, cell: dict, trials: int) -> CellResult:
     return CellResult(
         cell,
         trials,
-        sum(o.success for o in outcomes) / len(outcomes),
+        sum(o.success for o in outcomes) / trials,
         float(np.median([o.report.iterations_run for o in outcomes])),
         float(np.median([o.relative_error for o in outcomes])),
         float(np.median([o.iteration_time_us for o in outcomes])),

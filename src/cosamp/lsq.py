@@ -1,10 +1,13 @@
 """Least-squares solvers for the estimation step.
 
-Richardson's iteration and conjugate gradient both touch the column
-submatrix Phi_T only through its action on vectors (one multiply each with
-Phi_T and Phi_T* per iteration), so they compose with matrix-free
-operators.  The direct normal-equations solver is reference scaffolding:
-exact, but it materializes the submatrix.
+Richardson's iteration and conjugate gradient need the normal product
+Phi_T* Phi_T z once per iteration.  When the operator offers a closed-form
+Gram (``gram_sub``, e.g. partial Fourier) that product is a |T| x |T|
+matrix-vector multiply; otherwise it is one multiply each with Phi_T and
+Phi_T*, so the solvers compose with any matrix-free operator.  Either way
+the right-hand side Phi_T* u and the final sample-space residual are real
+operator products.  The direct normal-equations solver is reference
+scaffolding: exact, but it forms the Gram matrix.
 
 When ||Phi_T* Phi_T - I|| < 1, Richardson contracts by that norm per
 iteration; three warm-started iterations suffice for the recovery loop's
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SamplingOperator
+from .operators import SamplingOperator, closed_form_gram, gram_matrix
 from .signals import SupportSet
 
 _DIVERGENCE_FACTOR = 10.0
@@ -82,6 +85,18 @@ def _prepare(op: SamplingOperator, T: SupportSet, u, z0) -> np.ndarray:
     return z0
 
 
+def _normal_product(op: SamplingOperator, T: SupportSet):
+    """z -> Phi_T* Phi_T z, through the closed-form Gram when the operator has one.
+
+    Dense operators keep the two products: forming their Gram costs more
+    than the few iterations it would serve.
+    """
+    gram = closed_form_gram(op, T)
+    if gram is None:
+        return lambda z: op.adjoint_sub(T, op.apply_sub(T, z))
+    return lambda z: gram @ z
+
+
 def richardson_solve(
     op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3
 ) -> LsqResult:
@@ -92,11 +107,11 @@ def richardson_solve(
     result is flagged, and the caller decides what to do.
     """
     z = _prepare(op, T, u, z0)
+    normal = _normal_product(op, T)
     atu = op.adjoint_sub(T, u)
     initial_residual = float(np.linalg.norm(u - op.apply_sub(T, z)))
     for _ in range(iterations):
-        gram_z = op.adjoint_sub(T, op.apply_sub(T, z))
-        z = atu - gram_z + z
+        z = atu - normal(z) + z
     residual = float(np.linalg.norm(u - op.apply_sub(T, z)))
     diverged = residual > _DIVERGENCE_FACTOR * max(initial_residual, 1e-300)
     return LsqResult(z, iterations, residual, diverged)
@@ -107,20 +122,21 @@ def cg_solve(
 ) -> LsqResult:
     """Conjugate gradient on the normal equations Phi_T* Phi_T z = Phi_T* u.
 
-    The Gram matrix is never formed; each iteration costs one multiply with
-    Phi_T and one with Phi_T*.  Terminates early on a zero residual (e.g.
-    when seeded with the exact solution).
+    Each iteration costs one normal product (see :func:`_normal_product`).
+    Terminates early on a zero residual (e.g. when seeded with the exact
+    solution).
     """
     z = _prepare(op, T, u, z0)
+    normal = _normal_product(op, T)
     atu = op.adjoint_sub(T, u)
-    resid = atu - op.adjoint_sub(T, op.apply_sub(T, z))
+    resid = atu - normal(z)
     direction = resid.copy()
     rho = float(np.vdot(resid, resid).real)
     used = 0
     for _ in range(iterations):
         if rho == 0.0:
             break
-        gram_d = op.adjoint_sub(T, op.apply_sub(T, direction))
+        gram_d = normal(direction)
         curvature = float(np.vdot(direction, gram_d).real)
         if curvature <= 0.0:
             break
@@ -137,23 +153,17 @@ def cg_solve(
 def direct_solve(op: SamplingOperator, T: SupportSet, u) -> LsqResult:
     """Exact pseudoinverse solve (Phi_T* Phi_T)^{-1} Phi_T* u.
 
-    Reference oracle only: materializes the submatrix and factors the Gram,
-    so it is deliberately not the production path.  Raises
-    :class:`RankDeficiencyError` when the smallest Gram eigenvalue falls at
-    or below 1e-12.
+    Reference oracle only: forms and factors the Gram (see
+    :func:`cosamp.operators.gram_matrix`), so it is deliberately not the
+    production path.  Raises :class:`RankDeficiencyError` when the smallest
+    Gram eigenvalue falls at or below 1e-12.
     """
-    z0 = _prepare(op, T, u, None)
-    cols = np.empty((op.m, len(T)), dtype=z0.dtype)
-    unit = np.zeros(len(T), dtype=z0.dtype)
-    for j in range(len(T)):
-        unit[j] = 1.0
-        cols[:, j] = op.apply_sub(T, unit)
-        unit[j] = 0.0
-    gram = cols.conj().T @ cols
+    _prepare(op, T, u, None)
+    gram = gram_matrix(op, T)
     smallest = float(np.linalg.eigvalsh(gram)[0])
     if smallest <= 1e-12:
         raise RankDeficiencyError(smallest)
-    z = np.linalg.solve(gram, cols.conj().T @ np.asarray(u))
+    z = np.linalg.solve(gram, op.adjoint_sub(T, u))
     return _result(op, T, u, z, 1)
 
 

@@ -4,6 +4,12 @@ Every operator exposes ``apply`` / ``adjoint`` plus the column-submatrix
 actions ``apply_sub`` / ``adjoint_sub``, implemented by embedding and
 restricting so that matrix-free kinds never extract columns.  ``adjoint``
 is the true conjugate transpose for all kinds.
+
+An operator whose Gram matrix ``Phi* Phi`` has a closed form may also offer
+``gram_sub(T)``, returning ``Phi_T* Phi_T`` without an operator product
+(partial Fourier does).  It is deliberately not declared on the base class:
+callers reach it through :func:`closed_form_gram`, so delegating wrappers
+that forward unknown attributes to the operator they wrap reach it too.
 """
 
 from __future__ import annotations
@@ -156,6 +162,10 @@ class PartialFourierOperator(SamplingOperator):
     set (with m = N the operator is exactly unitary).  Rows are drawn
     without replacement by a seeded Fisher-Yates shuffle unless an explicit
     row set is given.  Apply/adjoint run in O(N log N) via the FFT.
+
+    ``Phi* Phi`` is circulant with kernel ``g = (N/m) ifft(1_rows)``, computed
+    once here (one length-N FFT, N complex values, read-only like ``rows``),
+    so ``gram_sub(T)`` is an O(|T|^2) gather with no FFT.
     """
 
     is_complex = True
@@ -180,6 +190,11 @@ class PartialFourierOperator(SamplingOperator):
         self.n = int(n)
         self.seed = None if seed is None else int(seed)
         self.rows = rows
+        indicator = np.zeros(self.n)
+        indicator[rows] = 1.0
+        gram_kernel = np.fft.ifft(indicator) * (self.n / self.m)
+        gram_kernel.flags.writeable = False
+        self.gram_kernel = gram_kernel
 
     def apply(self, x) -> np.ndarray:
         x = _check_length(x, self.n, "signal")
@@ -192,10 +207,40 @@ class PartialFourierOperator(SamplingOperator):
         padded[self.rows] = v
         return np.fft.ifft(padded) * (self.n / math.sqrt(self.m))
 
+    def gram_sub(self, T: SupportSet) -> np.ndarray:
+        """Phi_T* Phi_T, entry (j, k) = g[(t_j - t_k) mod N]."""
+        self._check_support(T)
+        idx = T.indices
+        return self.gram_kernel[(idx[:, None] - idx[None, :]) % self.n]
+
     def materialize(self) -> np.ndarray:
         j = np.arange(self.n)
         phases = np.exp(-2j * np.pi * np.outer(self.rows, j) / self.n)
         return phases / math.sqrt(self.m)
+
+
+def closed_form_gram(op: SamplingOperator, T: SupportSet) -> np.ndarray | None:
+    """``op.gram_sub(T)`` when the operator offers it, else None."""
+    gram_sub = getattr(op, "gram_sub", None)
+    return None if gram_sub is None else gram_sub(T)
+
+
+def gram_matrix(op: SamplingOperator, T: SupportSet) -> np.ndarray:
+    """Phi_T* Phi_T: the closed form when offered, else built column by column.
+
+    Column j is ``apply_sub`` of a one on the single index t_j, which is
+    exact for dense operators (their Gram matches ``Phi_T^H Phi_T`` bit for
+    bit) and touches one column of the matrix rather than |T|.
+    """
+    gram = closed_form_gram(op, T)
+    if gram is not None:
+        return gram
+    dtype = np.complex128 if op.is_complex else np.float64
+    cols = np.empty((op.m, len(T)), dtype=dtype)
+    one = np.ones(1, dtype=dtype)
+    for j in range(len(T)):
+        cols[:, j] = op.apply_sub(SupportSet(T.indices[j : j + 1], op.n), one)
+    return cols.conj().T @ cols
 
 
 def identity_operator(n: int) -> IdentityOperator:

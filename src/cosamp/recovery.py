@@ -23,7 +23,7 @@ import numpy as np
 
 from .lsq import LsqConfig, LsqResult, solve
 from .operators import SamplingOperator
-from .signals import SupportSet, best_s_approx, embed, restrict, support_of
+from .signals import SupportSet, as_samples, best_s_approx, embed, restrict, support_of
 
 
 @dataclass(frozen=True)
@@ -290,13 +290,14 @@ def recover(
 ) -> RecoveryReport:
     """Run the loop until a halting rule fires or the iteration cap is hit.
 
+    ``u`` must be a finite length-m sample vector (``ValueError`` otherwise);
+    an estimate with non-finite coefficients raises :class:`SolverFailure`.
+
     When ``truth`` is supplied, per-iteration errors are recorded in the
     trace; with ``config.record_diagnostics`` the per-step bound audit runs too
     (requires truth, and uses ``noise`` for the noise-energy terms).
     """
-    u = np.asarray(u)
-    if u.size != op.m:
-        raise ValueError(f"sample vector length {u.size} != m = {op.m}")
+    u = as_samples(u, op.m)
     if 4 * config.s > op.n:
         warnings.warn(
             f"4 s = {4 * config.s} exceeds N = {op.n}; recovery guarantees assume 4 s <= N",
@@ -309,6 +310,7 @@ def recover(
     max_iters = config.effective_max_iterations()
     for rule in fixed_rules:
         max_iters = min(max_iters, rule.count)
+    identify_width, prune_width = config.widths(op.n)
 
     state = initial_state(op, u, config.s)
     x = None if truth is None else np.asarray(truth)
@@ -337,7 +339,6 @@ def recover(
             break
 
         tick = time.perf_counter_ns()
-        identify_width, prune_width = config.widths(op.n)
         omega = identify(y, identify_width)
         times["identify"] = (time.perf_counter_ns() - tick) / 1000.0
 
@@ -350,6 +351,10 @@ def recover(
             b, lsq_result = _estimate(op, T, u, state.a, config)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(state.k + 1, exc) from exc
+        if lsq_result is not None and not np.isfinite(lsq_result.coefficients).all():
+            raise SolverFailure(
+                state.k + 1, FloatingPointError("estimate has non-finite coefficients")
+            )
         times["estimate"] = (time.perf_counter_ns() - tick) / 1000.0
 
         tick = time.perf_counter_ns()

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import prng
-from .operators import SamplingOperator
+from .operators import SamplingOperator, gram_matrix
 from .signals import SupportSet, norms, restrict, support_of
 
 _CHUNK = 50_000
@@ -45,12 +45,7 @@ class RipEstimate:
 
 def gram_deviation(op: SamplingOperator, T: SupportSet) -> float:
     """Exact ||Phi_T* Phi_T - I||_2 via a dense eigendecomposition of the Gram."""
-    cols = np.stack(
-        [op.apply_sub(SupportSet(np.array([i], dtype=np.int64), op.n), np.ones(1)) for i in T],
-        axis=1,
-    )
-    gram = cols.conj().T @ cols
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(gram_matrix(op, T))
     return float(max(eigs[-1] - 1.0, 1.0 - eigs[0]))
 
 

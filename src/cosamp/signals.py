@@ -122,14 +122,27 @@ def best_s_approx(x, s: int) -> tuple[np.ndarray, SupportSet]:
     n = x.size
     if s < 0:
         raise ValueError("s must be nonnegative")
-    mag = np.abs(x)
     if s == 0:
         return np.zeros_like(x), SupportSet.empty(n)
-    # stable argsort keeps original (lexicographic) order among equal magnitudes
-    order = np.argsort(-mag, kind="stable")
-    chosen = order[: min(s, n)]
-    chosen = chosen[mag[chosen] > 0]
-    supp = SupportSet(np.sort(chosen).astype(np.int64), n)
+    # -|x|: ascending order is descending magnitude, with NaN last
+    neg = np.abs(x)
+    np.negative(neg, out=neg)
+    # Linear-time selection rather than a stable sort: every entry above the
+    # s-th largest magnitude, then the lowest-index entries tied at it.
+    threshold = np.partition(neg, s - 1)[s - 1] if s < n else np.nan
+    if np.isnan(threshold):
+        # at most s entries are not NaN, and every nonzero one makes the cut
+        chosen = np.flatnonzero(neg < 0)
+    else:
+        chosen = np.flatnonzero(neg <= threshold)
+        if chosen.size > s:
+            # more entries tie at the threshold than fit: the lowest-index ones stay
+            above = neg[chosen] < threshold
+            above[np.flatnonzero(~above)[: s - np.count_nonzero(above)]] = True
+            chosen = chosen[above]
+        if threshold == 0:  # exact zeros made the cut; they are never selected
+            chosen = chosen[neg[chosen] < 0]
+    supp = SupportSet(chosen, n)
     out = np.zeros_like(x)
     out[supp.indices] = x[supp.indices]
     return out, supp

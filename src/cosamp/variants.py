@@ -92,9 +92,9 @@ def recover_residual_variant(
     from dataclasses import replace as _replace
 
     u_arr = np.asarray(u)
+    identify_width, prune_width = config.widths(op.n)
 
     def step(state, y):
-        identify_width, prune_width = config.widths(op.n)
         omega = identify(y, identify_width)
         if len(omega):
             result = solve(op, omega, state.v, None, _zero_start(config))
@@ -154,9 +154,9 @@ def recover_prune_first_variant(
     from dataclasses import replace as _replace
 
     u_arr = np.asarray(u)
+    identify_width, prune_width = config.widths(op.n)
 
     def step(state, y):
-        identify_width, prune_width = config.widths(op.n)
         omega = identify(y, identify_width)
         prev = support_of(state.a)
         merged = merge_support(omega, prev)

@@ -80,6 +80,19 @@ class TestRecoverCommand:
         ])
         assert code == EXIT_OK
 
+    def test_polish_rank_deficiency_exit_two(self, tmp_path, capsys):
+        # two rows: any three columns are linearly dependent, so polishing an
+        # s = 3 support factors a singular Gram
+        cfg = json.loads(FIXTURE.read_text())
+        angles = 0.3 * np.arange(16)
+        matrix = [np.cos(angles).tolist(), np.sin(angles).tolist()]
+        cfg["operator"] = {"kind": "dense", "matrix": matrix}
+        cfg["signal"]["n"] = 16
+        path = write_config(tmp_path, cfg)
+        code = main(["recover", "--config", str(path), "--out", str(tmp_path), "--polish"])
+        assert code == EXIT_SOLVER
+        assert "singular" in capsys.readouterr().err
+
     def test_seed_override_changes_instance(self, tmp_path):
         cfg = json.loads(FIXTURE.read_text())
         del cfg["operator"]["seed"]

@@ -132,6 +132,22 @@ class TestSweep:
             only.success_rate in (0.0, 0.5, 1.0)
         )
 
+    def test_raised_trials_count_as_failures(self, monkeypatch):
+        cfg = base_config(sweep=None, trials=4)
+        real_trial = experiment.run_trial
+
+        def every_other_raises(cfg, *, trial_index, **kwargs):
+            if trial_index % 2:
+                raise RuntimeError("trial blew up")
+            return real_trial(cfg, trial_index=trial_index, **kwargs)
+
+        cell = sweep_cells(cfg)[0]
+        assert experiment.run_cell(cfg, cell, 4).success_rate == 1.0
+        monkeypatch.setattr(experiment, "run_trial", every_other_raises)
+        result = experiment.run_cell(cfg, cell, 4)
+        assert result.failures == 2
+        assert result.success_rate == 0.5
+
     def test_grid_shape_and_indexing(self):
         cfg = base_config(sweep={"m": [8, 16], "s": [2, 3], "noise_norm": [0.0]})
         cells = sweep_cells(cfg)

@@ -13,7 +13,13 @@ from cosamp.lsq import (
     richardson_solve,
     solve,
 )
-from cosamp.operators import dense_operator, gaussian_operator, identity_operator
+from cosamp.operators import (
+    SamplingOperator,
+    dense_operator,
+    gaussian_operator,
+    identity_operator,
+    partial_fourier_operator,
+)
 from cosamp.rip import gram_deviation
 from cosamp.signals import SupportSet
 
@@ -22,6 +28,48 @@ def orthonormal_op(n=8, cols=8, seed=0):
     g = prng.normals(seed, n * n).reshape(n, n)
     q, _ = np.linalg.qr(g)
     return dense_operator(q[:, :cols])
+
+
+class ProductsOnly(SamplingOperator):
+    """Delegates the four products and counts them; offers no closed-form Gram."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.m, self.n, self.is_complex = inner.m, inner.n, inner.is_complex
+        self.products = 0
+
+    def apply(self, x):
+        self.products += 1
+        return self.inner.apply(x)
+
+    def adjoint(self, v):
+        self.products += 1
+        return self.inner.adjoint(v)
+
+    def apply_sub(self, T, coeffs):
+        self.products += 1
+        return self.inner.apply_sub(T, coeffs)
+
+    def adjoint_sub(self, T, v):
+        self.products += 1
+        return self.inner.adjoint_sub(T, v)
+
+
+class Forwarding(ProductsOnly):
+    """Also forwards every other attribute, as a tracing wrapper does."""
+
+    def __getattr__(self, name):
+        if name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+def partial_fourier_instance():
+    op = partial_fourier_operator(64, 256, seed=9)
+    # both ends of [0, N) are in T, so the Gram's index differences wrap around
+    middle = prng.sample_without_replacement(3, 256, 22)
+    T = SupportSet.from_any(np.concatenate([[0, 255], middle]), 256)
+    return op, T, prng.complex_normals(4, 64), prng.complex_normals(5, len(T))
 
 
 class TestRichardson:
@@ -125,6 +173,45 @@ class TestConjugateGradient:
         want = direct_solve(op, T, u).coefficients
         got = cg_solve(op, T, u, None, iterations=6).coefficients
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+class TestClosedFormGram:
+    def test_cg_matches_product_path(self):
+        op, T, u, z0 = partial_fourier_instance()
+        fast = cg_solve(op, T, u, z0, iterations=3)
+        slow = cg_solve(ProductsOnly(op), T, u, z0, iterations=3)
+        scale = np.linalg.norm(slow.coefficients)
+        assert np.linalg.norm(fast.coefficients - slow.coefficients) <= 1e-12 * scale
+        assert fast.residual_samples_norm == pytest.approx(slow.residual_samples_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("solver", [cg_solve, richardson_solve])
+    def test_forwarding_wrapper_is_bit_identical(self, solver):
+        op, T, u, z0 = partial_fourier_instance()
+        bare = solver(op, T, u, z0, iterations=3)
+        wrapped = solver(Forwarding(op), T, u, z0, iterations=3)
+        assert np.array_equal(wrapped.coefficients, bare.coefficients)
+        assert wrapped.residual_samples_norm == bare.residual_samples_norm
+
+    def test_cg_makes_two_products(self):
+        op, T, u, z0 = partial_fourier_instance()
+        wrapped = Forwarding(op)
+        result = cg_solve(wrapped, T, u, z0, iterations=3)
+        assert result.iterations_used == 3
+        assert wrapped.products == 2  # right-hand side and final residual
+        residual = np.linalg.norm(u - op.apply_sub(T, result.coefficients))
+        assert result.residual_samples_norm == pytest.approx(residual, rel=1e-12)
+
+    def test_dense_keeps_product_path(self):
+        op = ProductsOnly(gaussian_operator(16, 32, seed=2))
+        T = SupportSet(np.array([3, 8, 20]), 32)
+        cg_solve(op, T, prng.normals(7, 16), None, iterations=3)
+        assert op.products == 2 + 2 * 4  # per normal product: Phi_T, then Phi_T*
+
+    def test_direct_matches_product_path(self):
+        op, T, u, _ = partial_fourier_instance()
+        want = cg_solve(ProductsOnly(op), T, u, None, iterations=len(T)).coefficients
+        got = direct_solve(op, T, u).coefficients
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestDirect:

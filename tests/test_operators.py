@@ -11,6 +11,7 @@ from cosamp.operators import (
     PartialFourierOperator,
     dense_operator,
     gaussian_operator,
+    gram_matrix,
     identity_operator,
     partial_fourier_operator,
 )
@@ -99,6 +100,44 @@ class TestPartialFourier:
         best_time(large, x_large, repeats=3)
         ratio = best_time(large, x_large) / best_time(small, x_small)
         assert ratio < 6.0
+
+
+class TestClosedFormGram:
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+    def test_matches_materialized_gram(self, n):
+        op = partial_fourier_operator(max(n // 4, 2), n, seed=n)
+        # both ends of [0, N) are in T, so the index differences wrap around
+        middle = prng.sample_without_replacement(n + 1, n - 3, min(n - 3, 12)) + 2
+        T = SupportSet.from_any(np.concatenate([[0, 1, n - 1], middle]), n)
+        cols = op.materialize()[:, T.indices]
+        gram = op.gram_sub(T)
+        assert gram.shape == (len(T), len(T))
+        assert np.abs(gram - cols.conj().T @ cols).max() <= 1e-12
+
+    def test_kernel_is_read_only(self):
+        op = partial_fourier_operator(16, 64, seed=1)
+        assert op.gram_kernel.shape == (64,) and not op.gram_kernel.flags.writeable
+
+    def test_rejects_support_of_other_dimension(self):
+        op = partial_fourier_operator(16, 64, seed=1)
+        with pytest.raises(DimensionMismatchError):
+            op.gram_sub(SupportSet(np.array([0, 3]), 32))
+
+    def test_gram_matrix_uses_closed_form(self):
+        op = partial_fourier_operator(16, 64, seed=2)
+        T = SupportSet(np.array([0, 5, 63]), 64)
+        assert np.array_equal(gram_matrix(op, T), op.gram_sub(T))
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_dense_gram_is_exact(self, complex_valued):
+        mat = prng.normals(4, 12 * 40).reshape(12, 40)
+        if complex_valued:
+            mat = mat + 1j * prng.normals(5, 12 * 40).reshape(12, 40)
+        op = dense_operator(mat)
+        T = SupportSet(np.array([0, 7, 21, 39]), 40)
+        cols = op.matrix[:, T.indices]
+        assert not hasattr(op, "gram_sub")
+        assert np.array_equal(gram_matrix(op, T), cols.conj().T @ cols)
 
 
 class TestGaussian:

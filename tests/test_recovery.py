@@ -170,6 +170,30 @@ class TestRecover:
             recover(op, u, cfg)
         assert excinfo.value.iteration == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        op = cosamp.gaussian_operator(16, 64, seed=3)
+        u = op.apply(np.eye(64)[5])
+        u[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            recover(op, u, RecoveryConfig(s=2, halting=FixedIterations(5)))
+
+    def test_wrong_sample_length_rejected(self):
+        op = cosamp.gaussian_operator(16, 64, seed=3)
+        with pytest.raises(ValueError, match="length"):
+            recover(op, np.ones(15), RecoveryConfig(s=2))
+
+    def test_non_finite_estimate_raises(self):
+        class NanAdjointSub(cosamp.DenseOperator):
+            def adjoint_sub(self, T, v):
+                return np.full(len(T), np.nan)
+
+        op = NanAdjointSub(prng.normals(44, 16 * 64).reshape(16, 64) / 4.0)
+        u = op.apply(np.eye(64)[5])
+        with pytest.raises(SolverFailure, match="non-finite") as excinfo:
+            recover(op, u, RecoveryConfig(s=2, halting=FixedIterations(5)))
+        assert excinfo.value.iteration == 1
+
     def test_noise_floor_on_gated_instance(self, gated_16):
         op, delta = gated_16
         assert delta <= 0.1

@@ -35,6 +35,13 @@ def brute_force_best_support(x, s):
     return best_err, best_T
 
 
+def stable_sort_support(x, s):
+    """The selection rule spelled out as a stable sort by descending magnitude."""
+    mag = np.abs(x)
+    chosen = np.argsort(-mag, kind="stable")[: min(s, x.size)]
+    return np.sort(chosen[mag[chosen] > 0])
+
+
 class TestBestSApprox:
     def test_magnitude_order(self):
         xs, supp = best_s_approx(np.array([3.0, -2.0, 1.0]), 2)
@@ -79,6 +86,30 @@ class TestBestSApprox:
             z = np.zeros_like(x)
             z[list(T)] = x[list(T)]
             assert err <= np.linalg.norm(x - z) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                # a small alphabet, so that ties and exact zeros are common
+                st.sampled_from([0.0, 1.0, -1.0, 2.0, 1j, -2j, 1 + 1j]),
+                st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+            ),
+            max_size=24,
+        ),
+        st.booleans(),
+        st.integers(0, 30),
+    )
+    def test_matches_stable_sort_reference(self, entries, real, s):
+        x = np.array(entries, dtype=np.complex128)
+        if real:
+            x = x.real.copy()
+        xs, supp = best_s_approx(x, s)
+        want = stable_sort_support(x, s)
+        assert np.array_equal(supp.indices, want)
+        expected = np.zeros_like(x)
+        expected[want] = x[want]
+        assert xs.dtype == x.dtype and np.array_equal(xs, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(
