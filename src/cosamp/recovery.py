@@ -10,6 +10,9 @@ Halting is composable: any rule firing stops the loop.  The proxy
 infinity-norm rule is evaluated on the proxy already computed that
 iteration (no extra multiply), and when it fires the loop returns the
 approximation whose residual produced that proxy.
+
+The loop variants in :mod:`cosamp.variants` run through the same driver and
+replace only the merge and estimate steps.
 """
 
 from __future__ import annotations
@@ -168,26 +171,70 @@ def check_halt(state: RecoveryState, rule: HaltingRule) -> bool:
     raise TypeError(f"unknown halting rule {rule!r}")
 
 
-def _estimate(op, T, u, a_prev, config: RecoveryConfig) -> tuple[np.ndarray, LsqResult | None]:
+def _merge(state: RecoveryState, y, omega: SupportSet, width: int) -> SupportSet:
+    """Standard merge: Omega united with the current approximation's support."""
+    return merge_support(omega, support_of(state.a))
+
+
+def _estimate(
+    op, u, state: RecoveryState, omega: SupportSet, T: SupportSet, config: RecoveryConfig
+) -> tuple[np.ndarray, LsqResult | None]:
+    """Standard estimate: least squares on T against the original samples."""
     if len(T) == 0:
-        return np.zeros_like(a_prev), None
-    z0 = a_prev[T.indices] if config.lsq.warm_start == "current" else None
+        return np.zeros_like(state.a), None
+    z0 = state.a[T.indices] if config.lsq.warm_start == "current" else None
     result = solve(op, T, u, z0, config.lsq)
     return embed(result.coefficients, T), result
 
 
-def cosamp_iteration(
-    state: RecoveryState, op: SamplingOperator, u, config: RecoveryConfig
+def _iterate(
+    state: RecoveryState,
+    y: np.ndarray,
+    op: SamplingOperator,
+    u: np.ndarray,
+    config: RecoveryConfig,
+    widths: tuple[int, int],
+    merge,
+    estimate,
+    times: dict[str, float],
 ) -> RecoveryState:
-    """One full iteration: proxy, identify, merge, estimate, prune, update."""
-    n = op.n
-    identify_width, prune_width = config.widths(n)
-    y = op.adjoint(state.v)
+    """Identify, merge, estimate, prune and update from the proxy ``y``.
+
+    ``merge(state, y, omega, prune_width)`` returns the estimation support T
+    and ``estimate(op, u, state, omega, T, config)`` returns the pre-prune
+    estimate b with its solver result; they are the only steps in which the
+    loop variants differ.  Each step's wall time in microseconds goes into
+    ``times``.  A solver ``LinAlgError`` or a non-finite estimate raises
+    :class:`SolverFailure` with the index of the iteration.
+    """
+    identify_width, prune_width = widths
+    tick = time.perf_counter_ns()
     omega = identify(y, identify_width)
-    T = merge_support(omega, support_of(state.a))
-    b, lsq_result = _estimate(op, T, u, state.a, config)
+    times["identify"] = (time.perf_counter_ns() - tick) / 1000.0
+
+    tick = time.perf_counter_ns()
+    T = merge(state, y, omega, prune_width)
+    times["merge"] = (time.perf_counter_ns() - tick) / 1000.0
+
+    tick = time.perf_counter_ns()
+    try:
+        b, lsq_result = estimate(op, u, state, omega, T, config)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(state.k + 1, exc) from exc
+    if lsq_result is not None and not np.isfinite(lsq_result.coefficients).all():
+        raise SolverFailure(
+            state.k + 1, FloatingPointError("estimate has non-finite coefficients")
+        )
+    times["estimate"] = (time.perf_counter_ns() - tick) / 1000.0
+
+    tick = time.perf_counter_ns()
     a_next, _ = best_s_approx(b, prune_width)
-    v_next = np.asarray(u) - op.apply(a_next)
+    times["prune"] = (time.perf_counter_ns() - tick) / 1000.0
+
+    tick = time.perf_counter_ns()
+    v_next = u - op.apply(a_next)
+    times["update"] = (time.perf_counter_ns() - tick) / 1000.0
+
     return RecoveryState(
         k=state.k + 1,
         s=state.s,
@@ -199,6 +246,21 @@ def cosamp_iteration(
         T=T,
         b=b,
         lsq_result=lsq_result,
+    )
+
+
+def cosamp_iteration(
+    state: RecoveryState, op: SamplingOperator, u, config: RecoveryConfig
+) -> RecoveryState:
+    """One full iteration: proxy, identify, merge, estimate, prune, update.
+
+    It runs the same step code as :func:`recover`, so stepping it k times
+    from :func:`initial_state` reproduces ``recover`` with
+    ``FixedIterations(k)``.
+    """
+    y = op.adjoint(state.v)
+    return _iterate(
+        state, y, op, np.asarray(u), config, config.widths(op.n), _merge, _estimate, {}
     )
 
 
@@ -297,11 +359,23 @@ def recover(
     trace; with ``config.record_diagnostics`` the per-step bound audit runs too
     (requires truth, and uses ``noise`` for the noise-energy terms).
     """
+    return _drive(op, u, config, truth, noise, _merge, _estimate)
+
+
+def _drive(
+    op: SamplingOperator, u, config: RecoveryConfig, truth, noise, merge, estimate
+) -> RecoveryReport:
+    """The recovery loop behind :func:`recover` and the loop variants.
+
+    It validates ``u``, applies the halting rules, times every step, and
+    records the trace, the diverged iterations and the audits; ``merge`` and
+    ``estimate`` are the variant's own steps, as in :func:`_iterate`.
+    """
     u = as_samples(u, op.m)
     if 4 * config.s > op.n:
         warnings.warn(
             f"4 s = {4 * config.s} exceeds N = {op.n}; recovery guarantees assume 4 s <= N",
-            stacklevel=2,
+            stacklevel=3,
         )
     rules = config.rules()
     proxy_rules = [r for r in rules if isinstance(r, ProxyInfinityNorm)]
@@ -310,7 +384,7 @@ def recover(
     max_iters = config.effective_max_iterations()
     for rule in fixed_rules:
         max_iters = min(max_iters, rule.count)
-    identify_width, prune_width = config.widths(op.n)
+    widths = config.widths(op.n)
 
     state = initial_state(op, u, config.s)
     x = None if truth is None else np.asarray(truth)
@@ -338,46 +412,8 @@ def recover(
             halt_reason = "proxy_infinity_norm"
             break
 
-        tick = time.perf_counter_ns()
-        omega = identify(y, identify_width)
-        times["identify"] = (time.perf_counter_ns() - tick) / 1000.0
-
-        tick = time.perf_counter_ns()
-        T = merge_support(omega, support_of(state.a))
-        times["merge"] = (time.perf_counter_ns() - tick) / 1000.0
-
-        tick = time.perf_counter_ns()
-        try:
-            b, lsq_result = _estimate(op, T, u, state.a, config)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(state.k + 1, exc) from exc
-        if lsq_result is not None and not np.isfinite(lsq_result.coefficients).all():
-            raise SolverFailure(
-                state.k + 1, FloatingPointError("estimate has non-finite coefficients")
-            )
-        times["estimate"] = (time.perf_counter_ns() - tick) / 1000.0
-
-        tick = time.perf_counter_ns()
-        a_next, _ = best_s_approx(b, prune_width)
-        times["prune"] = (time.perf_counter_ns() - tick) / 1000.0
-
-        tick = time.perf_counter_ns()
-        v_next = u - op.apply(a_next)
-        times["update"] = (time.perf_counter_ns() - tick) / 1000.0
-
-        state = RecoveryState(
-            k=state.k + 1,
-            s=state.s,
-            a=a_next,
-            a_prev=state.a,
-            v=v_next,
-            y=y,
-            omega=omega,
-            T=T,
-            b=b,
-            lsq_result=lsq_result,
-        )
-        if lsq_result is not None and lsq_result.diverged:
+        state = _iterate(state, y, op, u, config, widths, merge, estimate, times)
+        if state.lsq_result is not None and state.lsq_result.diverged:
             diverged.append(state.k)
 
         err_l2 = err_linf = None

@@ -321,3 +321,36 @@ class TestDiagnostics:
         state = initial_state(op, np.ones(4), 1)
         with pytest.raises(ValueError):
             iteration_diagnostics(state, np.ones(4), None)
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            cosamp.gaussian_operator(32, 64, seed=15),
+            cosamp.partial_fourier_operator(32, 128, seed=16),
+        ],
+        ids=["gaussian", "partial_fourier"],
+    )
+    def test_stepping_matches_recover_bit_for_bit(self, op, monkeypatch):
+        # recover and cosamp_iteration share their step code, so k steps
+        # from the initial state are exactly recover with FixedIterations(k)
+        x, _, u = planted_instance(op, 3, seed=49, noise_norm=0.01)
+        merged = []
+
+        def spy(omega, prev):
+            merged.append(merge_support(omega, prev))
+            return merged[-1]
+
+        state = initial_state(op, u, 3)
+        for k in range(1, 7):
+            state = cosamp_iteration(state, op, u, RecoveryConfig(s=3))
+            merged.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(cosamp.recovery, "merge_support", spy)
+                report = recover(op, u, RecoveryConfig(s=3, halting=FixedIterations(k)))
+            assert report.iterations_run == k
+            assert np.array_equal(report.approximation, state.a)
+            assert np.array_equal(u - op.apply(report.approximation), state.v)
+            assert report.trace[-1].v_norm == float(np.linalg.norm(state.v))
+            assert merged[-1] == state.T

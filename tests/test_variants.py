@@ -6,8 +6,9 @@ import pytest
 import cosamp
 from conftest import gated_operator, planted_instance
 from cosamp import prng
+from cosamp.experiment import _dispatch
 from cosamp.lsq import LsqConfig
-from cosamp.recovery import FixedIterations, RecoveryConfig, SampleNorm, recover
+from cosamp.recovery import FixedIterations, RecoveryConfig, SampleNorm, SolverFailure, recover
 from cosamp.signals import support_of
 from cosamp.variants import (
     final_polish,
@@ -138,3 +139,39 @@ class TestPruneFirstVariant:
             assert on_support <= 1e-9 * np.abs(y_next).max()
             omega_next = cosamp.identify(y_next, 6)
             assert not set(omega_next) & set(supp)
+
+
+class TestSharedDriver:
+    """All three loops run through one driver, so they validate, fail and
+    trace alike."""
+
+    @pytest.mark.parametrize("variant", ["standard", "residual", "prune-first"])
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
+    def test_non_finite_samples_rejected(self, variant, bad):
+        op = cosamp.gaussian_operator(16, 64, seed=3)
+        u = op.apply(np.eye(64)[5]).astype(type(bad))
+        u[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _dispatch(variant)(op, u, RecoveryConfig(s=2, halting=FixedIterations(5)), None)
+
+    @pytest.mark.parametrize("loop", [recover_residual_variant, recover_prune_first_variant])
+    def test_trace_rows_carry_every_step_time(self, loop):
+        op = cosamp.gaussian_operator(24, 48, seed=3)
+        x, _, u = planted_instance(op, 3, seed=51)
+        report = loop(op, u, RecoveryConfig(s=3, halting=FixedIterations(4)), truth=x)
+        assert report.trace
+        for row in report.trace:
+            assert set(row.step_times_us) == {
+                "proxy", "identify", "merge", "estimate", "prune", "update"
+            }
+
+    @pytest.mark.parametrize("loop", [recover_residual_variant, recover_prune_first_variant])
+    def test_solver_failure_carries_iteration(self, loop):
+        mat = prng.normals(43, 8 * 16).reshape(8, 16)
+        mat[:, 1] = mat[:, 0]  # identical columns make the Gram singular
+        op = cosamp.dense_operator(mat)
+        u = op.apply(np.eye(16)[0] + np.eye(16)[1])
+        cfg = RecoveryConfig(s=2, lsq=LsqConfig(solver="direct"))
+        with pytest.raises(SolverFailure) as excinfo:
+            loop(op, u, cfg)
+        assert excinfo.value.iteration == 1
