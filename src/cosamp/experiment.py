@@ -241,7 +241,7 @@ def run_trial(
         u = u + noise
 
     start = time.perf_counter()
-    report = _dispatch(variant)(op, u, recovery_cfg, truth)
+    report = _dispatch(variant)(op, u, recovery_cfg, truth, noise)
     elapsed_us = (time.perf_counter() - start) * 1e6
     if polish:
         polished = final_polish(op, u, report.approximation)

@@ -9,7 +9,10 @@ platforms.  The generation pipeline is pinned:
 * Uniforms in [0, 1) are ``(word >> 11) * 2**-53``.
 * Normal deviates use the Box-Muller transform on uniform pairs.
 * Sampling without replacement is a Fisher-Yates shuffle driven by raw
-  words reduced modulo the remaining range.
+  words reduced modulo the remaining range.  Drawing m of n runs only the
+  first min(m, n - 1) swaps on the first min(m, n - 1) words: later swaps
+  never touch the leading m entries, and Philox words form a prefix-stable
+  stream, so the sample is the leading m entries of the full shuffle.
 * Derived seeds (per sweep cell, per trial) come from ``mix_seed``, a
   SplitMix64 fold of the master seed and the index tuple.
 
@@ -87,24 +90,32 @@ def complex_normals(seed: int, count: int) -> np.ndarray:
     return (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
 
 
-def shuffled(seed: int, n: int) -> np.ndarray:
-    """Fisher-Yates permutation of arange(n), driven by raw Philox words."""
-    perm = np.arange(n, dtype=np.int64)
-    if n < 2:
-        return perm
-    words = raw_words(seed, n - 1)
-    for i in range(n - 1):
-        j = i + int(words[i] % np.uint64(n - i))
-        perm[i], perm[j] = perm[j], perm[i]
+def _fisher_yates(seed: int, n: int, steps: int) -> list[int]:
+    """arange(n) after the first ``steps`` Fisher-Yates swaps; swap i uses
+    raw word i, reduced modulo n - i."""
+    perm = list(range(n))
+    if steps > 0:
+        offsets = raw_words(seed, steps) % np.arange(n, n - steps, -1, dtype=np.uint64)
+        for i, off in enumerate(offsets.tolist()):
+            j = i + off
+            perm[i], perm[j] = perm[j], perm[i]
     return perm
 
 
+def shuffled(seed: int, n: int) -> np.ndarray:
+    """Fisher-Yates permutation of arange(n), driven by raw Philox words."""
+    return np.array(_fisher_yates(seed, n, n - 1), dtype=np.int64)
+
+
 def sample_without_replacement(seed: int, n: int, m: int) -> np.ndarray:
-    """First ``m`` entries of a seeded Fisher-Yates shuffle of [0, n), sorted."""
+    """First ``m`` entries of a seeded Fisher-Yates shuffle of [0, n), sorted.
+
+    Only the first min(m, n - 1) swaps run; they alone decide those entries.
+    """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    picked = shuffled(seed, n)[:m]
-    return np.sort(picked)
+    picked = _fisher_yates(seed, n, min(m, n - 1))[:m]
+    return np.sort(np.array(picked, dtype=np.int64))
 
 
 def signs(seed: int, count: int) -> np.ndarray:

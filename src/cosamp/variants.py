@@ -18,16 +18,17 @@ from .signals import SupportSet, best_s_approx, embed, support_of
 
 
 def recover_residual_variant(
-    op: SamplingOperator, u, config: RecoveryConfig, truth=None
+    op: SamplingOperator, u, config: RecoveryConfig, truth=None, noise=None
 ) -> RecoveryReport:
     """Approximate the residual instead of the whole signal.
 
     The least-squares solve targets the CURRENT samples v on the identified
     set Omega, always warm-started from zero (the residual shrinks, so zero
     is the natural seed); the resulting residual estimate is added onto the
-    previous approximation before pruning.
+    previous approximation before pruning.  ``truth`` and ``noise`` feed
+    the trace and the audits as in :func:`~cosamp.recovery.recover`.
     """
-    return _drive(op, u, config, truth, None, _merge, _residual_estimate)
+    return _drive(op, u, config, truth, noise, _merge, _residual_estimate)
 
 
 def _residual_estimate(op, u, state, omega: SupportSet, T: SupportSet, config: RecoveryConfig):
@@ -52,16 +53,17 @@ def final_polish(op: SamplingOperator, u, a) -> np.ndarray:
 
 
 def recover_prune_first_variant(
-    op: SamplingOperator, u, config: RecoveryConfig, truth=None
+    op: SamplingOperator, u, config: RecoveryConfig, truth=None, noise=None
 ) -> RecoveryReport:
     """Prune the merged support to s entries BEFORE the least-squares solve.
 
     Surrogate ranking: indices already in the approximation keep their
     current magnitudes |a_i|; newly identified indices use the proxy
     magnitudes |y_i|.  The top s of the merged ranking (lexicographic ties)
-    form the estimation support.
+    form the estimation support.  ``truth`` and ``noise`` feed the trace
+    and the audits as in :func:`~cosamp.recovery.recover`.
     """
-    return _drive(op, u, config, truth, None, _surrogate_prune, _estimate)
+    return _drive(op, u, config, truth, noise, _surrogate_prune, _estimate)
 
 
 def _surrogate_prune(state, y: np.ndarray, omega: SupportSet, width: int) -> SupportSet:

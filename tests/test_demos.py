@@ -11,7 +11,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "script", ["01_sparse_recovery.py", "05_halting_rules.py", "07_variants.py"]
+    "script",
+    ["01_sparse_recovery.py", "03_rip_diagnostics.py", "05_halting_rules.py", "07_variants.py"],
 )
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)

@@ -89,3 +89,29 @@ def test_sample_without_replacement_bounds():
 def test_signs_are_unit():
     s = prng.signs(5, 50)
     assert set(np.unique(s)) <= {-1.0, 1.0}
+
+
+def test_sample_without_replacement_frozen():
+    # computed with the full-shuffle implementation
+    assert prng.sample_without_replacement(12345, 100, 7).tolist() == [4, 9, 15, 29, 33, 67, 84]
+
+
+def reference_shuffle(seed, n):
+    """The full Fisher-Yates shuffle, one swap per raw word."""
+    perm = np.arange(n, dtype=np.int64)
+    words = prng.raw_words(seed, max(n - 1, 0))
+    for i in range(n - 1):
+        j = i + int(words[i] % np.uint64(n - i))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 128])
+def test_sample_without_replacement_is_full_shuffle_prefix(n):
+    for seed in range(5):
+        full = reference_shuffle(seed, n)
+        assert np.array_equal(prng.shuffled(seed, n), full)
+        for m in sorted({0, 1, n // 2, n - 1, n}):
+            got = prng.sample_without_replacement(seed, n, m)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.sort(full[:m])), (seed, n, m)

@@ -1,13 +1,22 @@
 """Restricted isometry estimation and its spectral consequences."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from cosamp import prng
-from cosamp.operators import dense_operator, gaussian_operator, identity_operator
+from conftest import gated_operator
+from cosamp import prng, rip
+from cosamp.operators import (
+    dense_operator,
+    gaussian_operator,
+    identity_operator,
+    partial_fourier_operator,
+)
 from cosamp.rip import (
     RipBudgetError,
     RipEstimate,
+    _combinations,
     check_rip_consequences,
     gram_deviation,
     rip_estimate,
@@ -61,6 +70,138 @@ class TestRipEstimate:
             for t in [(0, 1), (3, 9), (14, 15)]
         )
         assert worst <= rip_estimate(op, 2, "exhaustive").delta_exact + 1e-12
+
+
+def brute_force_delta(op, supports):
+    """max ||G_S - I||_2 with one unpruned eigvalsh per support."""
+    mat = op.materialize()
+    return brute_force_max(mat.conj().T @ mat, supports)
+
+
+def brute_force_max(gram, supports):
+    worst = 0.0
+    for support in supports:
+        idx = np.asarray(support)
+        eigs = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+        worst = max(worst, float(max(eigs[-1] - 1.0, 1.0 - eigs[0])))
+    return worst
+
+
+def duplicated_column_operator():
+    mat = prng.normals(3, 8 * 8).reshape(8, 8)
+    mat[:, 5] = mat[:, 2]
+    return dense_operator(mat)
+
+
+def complex_operator():
+    return dense_operator(prng.complex_normals(21, 10 * 14).reshape(10, 14) / np.sqrt(10))
+
+
+class TestPrunedEstimateIsExact:
+    """The pruned search returns the unpruned maximum bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_op, r",
+        [
+            (lambda: gaussian_operator(12, 16, seed=4), 1),
+            (lambda: gaussian_operator(12, 16, seed=4), 4),
+            (lambda: gaussian_operator(8, 10, seed=6), 10),
+            (lambda: gaussian_operator(24, 32, seed=11), 4),
+            (complex_operator, 3),
+            (complex_operator, 14),
+            (lambda: partial_fourier_operator(16, 32, seed=2), 3),
+            (lambda: identity_operator(8), 3),
+            (duplicated_column_operator, 2),
+            (lambda: gated_operator(12, seed=5), 6),
+        ],
+        ids=[
+            "gauss-r1", "gauss-r4", "gauss-r=N", "gauss24x32-r4", "complex-r3",
+            "complex-r=N", "fourier-r3", "identity", "duplicated-column", "gated",
+        ],
+    )
+    @pytest.mark.parametrize("probe_count", [1, 256])
+    def test_exhaustive_matches_brute_force(self, make_op, r, probe_count, monkeypatch):
+        # with one probe support the pruning pass does nearly all the work
+        monkeypatch.setattr(rip, "_PROBE_COUNT", probe_count)
+        op = make_op()
+        est = rip_estimate(op, r, "exhaustive")
+        assert est.delta_exact == brute_force_delta(op, combinations(range(op.n), r))
+        assert est.delta_lower == est.delta_exact
+
+    @pytest.mark.parametrize(
+        "make_op, r",
+        [
+            (lambda: gaussian_operator(32, 64, seed=7), 5),
+            (complex_operator, 4),
+            (lambda: gated_operator(16, seed=1), 8),
+        ],
+        ids=["gauss", "complex", "gated"],
+    )
+    @pytest.mark.parametrize("probe_count", [1, 256])
+    def test_monte_carlo_matches_brute_force(self, make_op, r, probe_count, monkeypatch):
+        monkeypatch.setattr(rip, "_PROBE_COUNT", probe_count)
+        op = make_op()
+        trials, seed = 600, 13
+        supports = [
+            prng.sample_without_replacement(prng.mix_seed(seed, t), op.n, r)
+            for t in range(trials)
+        ]
+        est = rip_estimate(op, r, "monte_carlo", trials=trials, seed=seed)
+        assert est.delta_lower == brute_force_delta(op, supports)
+
+    @pytest.mark.parametrize(
+        "op",
+        [gaussian_operator(12, 16, seed=4), complex_operator(), gated_operator(12, seed=5)],
+        ids=["gauss", "complex", "gated"],
+    )
+    def test_bounds_cover_every_deviation(self, op):
+        mat = op.materialize()
+        gram = mat.conj().T @ mat
+        supports = _combinations(op.n, 4)
+        bounds = rip._deviation_bounds(gram, supports)
+        for support, bound in zip(supports, bounds):
+            assert brute_force_max(gram, [support]) <= bound + 1e-12
+
+    def test_support_with_a_tight_bound_just_above_the_probe_is_solved(self, monkeypatch):
+        # support (0, 1, 2) is a star with loose bounds: deviation 0.5 sqrt 2,
+        # Gershgorin and Frobenius bounds 1.0, so it is the only probe.
+        # support (3, 4, 5) has deviation 0.71 = its Gershgorin bound, only
+        # 0.003 above the probe's deviation, so it must still be solved.
+        monkeypatch.setattr(rip, "_PROBE_COUNT", 1)
+        gram = np.eye(6)
+        gram[0, 1] = gram[1, 0] = gram[0, 2] = gram[2, 0] = 0.5
+        gram[3, 4] = gram[4, 3] = 0.71
+        supports = np.array([[0, 1, 2], [3, 4, 5]])
+        worst = rip._max_deviation_over(gram, supports)
+        assert worst == brute_force_max(gram, supports)
+        assert worst == pytest.approx(0.71)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_enumeration_order_matches_itertools(self, n):
+        for r in range(0, n + 2):
+            expected = list(combinations(range(n), r))
+            table = _combinations(n, r)
+            assert table.shape == (len(expected), r)
+            assert [tuple(row) for row in table.tolist()] == expected
+
+
+class MaterializeForbidden:
+    """An operator that may not be densified."""
+
+    n = 64
+
+    def materialize(self):
+        raise AssertionError("materialize called before the argument checks")
+
+
+class TestFailsBeforeTheGram:
+    def test_budget_error_comes_first(self):
+        with pytest.raises(RipBudgetError):
+            rip_estimate(MaterializeForbidden(), 8, "exhaustive", budget=1000)
+
+    def test_unknown_method_comes_first(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            rip_estimate(MaterializeForbidden(), 2, "sampling")
 
 
 class TestConsequences:

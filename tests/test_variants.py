@@ -5,7 +5,7 @@ import pytest
 
 import cosamp
 from conftest import gated_operator, planted_instance
-from cosamp import prng
+from cosamp import experiment, prng
 from cosamp.experiment import _dispatch
 from cosamp.lsq import LsqConfig
 from cosamp.recovery import FixedIterations, RecoveryConfig, SampleNorm, SolverFailure, recover
@@ -175,3 +175,48 @@ class TestSharedDriver:
         with pytest.raises(SolverFailure) as excinfo:
             loop(op, u, cfg)
         assert excinfo.value.iteration == 1
+
+
+class TestNoiseReachesAudits:
+    @pytest.mark.parametrize("variant", ["standard", "residual", "prune-first"])
+    def test_identification_bound_counts_the_noise(self, gated_16, variant):
+        op, _ = gated_16
+        x, e, u = planted_instance(op, 2, seed=48, noise_norm=0.3)
+        cfg = RecoveryConfig(
+            s=2,
+            halting=FixedIterations(3),
+            lsq=LsqConfig(solver="direct"),
+            record_diagnostics=True,
+        )
+        report = _dispatch(variant)(op, u, cfg, x, e)
+        identification = report.step_audits[0][0]
+        assert identification.name == "identification"
+        # iteration 1 starts from a = 0, so the residual is x itself
+        expected = 0.2223 * float(np.linalg.norm(x)) + 2.34 * float(np.linalg.norm(e))
+        assert identification.rhs == expected
+
+    @pytest.mark.parametrize("variant", ["standard", "residual", "prune-first"])
+    def test_run_trial_hands_the_noise_to_the_loop(self, monkeypatch, variant):
+        seen = []
+        real = experiment._dispatch
+
+        def spy(name):
+            loop = real(name)
+
+            def run(op, u, config, truth=None, noise=None):
+                seen.append(noise)
+                return loop(op, u, config, truth, noise)
+
+            return run
+
+        monkeypatch.setattr(experiment, "_dispatch", spy)
+        cfg = {
+            "master_seed": 3,
+            "operator": {"kind": "gaussian", "m": 32, "n": 64},
+            "signal": {"kind": "sparse", "n": 64, "s": 3},
+            "noise": {"norm": 0.05},
+            "recovery": {"s": 3},
+        }
+        outcome = experiment.run_trial(cfg, variant=variant)
+        assert len(seen) == 1 and seen[0] is not None
+        assert float(np.linalg.norm(seen[0])) == outcome.noise_norm
