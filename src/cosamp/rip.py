@@ -63,15 +63,18 @@ def _full_gram(op: SamplingOperator) -> np.ndarray:
 def _combinations(n: int, r: int) -> np.ndarray:
     """All r-subsets of range(n) as int64 rows, in ``itertools.combinations`` order.
 
-    Built one position at a time from the right: the k-subsets of
-    {i+1, ..., n-1} are the last C(n-1-i, k) of the lexicographic k-subsets
-    of range(n), so the (k+1)-subsets are each first element i followed by
-    that suffix of the previous table.  The table is filled position-major
-    and returned as a transposed view, so no step copies a whole table.
+    Built one position at a time from the right: the last k entries of an
+    r-subset form a k-subset of range(r - k, n), and the k-subsets of
+    {i+1, ..., n-1} are the last C(n-1-i, k) of those in lexicographic
+    order, so the (k+1)-subsets of range(r-k-1, n) are each first element i
+    followed by that suffix of the previous table.  Table k has
+    C(n-r+k, k) <= C(n, r) rows, so no step outgrows the output.  Tables
+    are filled position-major and returned as a transposed view, so no
+    step copies a whole table.
     """
     table = np.empty((0, 1), dtype=np.int64)
     for k in range(r):
-        firsts = np.arange(n - k)
+        firsts = np.arange(r - 1 - k, n - k)
         lengths = np.array([math.comb(n - 1 - i, k) for i in firsts], dtype=np.int64)
         out_starts = np.cumsum(lengths) - lengths
         src_starts = table.shape[1] - lengths
@@ -100,18 +103,21 @@ def _deviation_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     With A = G_S - I it is the smaller of the Gershgorin bound
     max_i sum_j |A_ij| and the Frobenius norm ||A||_F, both taken over the
     lower triangle of A, which is all that ``eigvalsh`` reads: for b > a,
-    entry (S_b, S_a) of G is in its lower triangle.
+    entry (S_b, S_a) of G is in its lower triangle.  The entries are
+    gathered straight from G, so no N x N temporary is made.
     """
     n = gram.shape[0]
-    offset = np.abs(gram - np.eye(n)).ravel()
+    entries = gram.ravel()
+    diagonal = np.diagonal(gram)
     out = np.empty(supports.shape[0])
     for start in range(0, supports.shape[0], _CHUNK):
         cols = supports[start : start + _CHUNK].T
-        row_sums = [offset[c * (n + 1)] for c in cols]
+        row_sums = [np.abs(diagonal[c] - 1.0) for c in cols]
         squares = sum(d * d for d in row_sums)
         for b in range(1, len(cols)):
+            row = cols[b] * n
             for a in range(b):
-                v = offset[cols[b] * n + cols[a]]
+                v = np.abs(entries[row + cols[a]])
                 row_sums[a] += v
                 row_sums[b] += v
                 squares += 2.0 * v * v

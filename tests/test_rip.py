@@ -1,5 +1,6 @@
 """Restricted isometry estimation and its spectral consequences."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -107,6 +108,7 @@ class TestPrunedEstimateIsExact:
             (lambda: gaussian_operator(12, 16, seed=4), 4),
             (lambda: gaussian_operator(8, 10, seed=6), 10),
             (lambda: gaussian_operator(24, 32, seed=11), 4),
+            (lambda: gaussian_operator(24, 32, seed=11), 30),
             (complex_operator, 3),
             (complex_operator, 14),
             (lambda: partial_fourier_operator(16, 32, seed=2), 3),
@@ -115,7 +117,7 @@ class TestPrunedEstimateIsExact:
             (lambda: gated_operator(12, seed=5), 6),
         ],
         ids=[
-            "gauss-r1", "gauss-r4", "gauss-r=N", "gauss24x32-r4", "complex-r3",
+            "gauss-r1", "gauss-r4", "gauss-r=N", "gauss24x32-r4", "gauss24x32-r30", "complex-r3",
             "complex-r=N", "fourier-r3", "identity", "duplicated-column", "gated",
         ],
     )
@@ -162,6 +164,18 @@ class TestPrunedEstimateIsExact:
         for support, bound in zip(supports, bounds):
             assert brute_force_max(gram, [support]) <= bound + 1e-12
 
+    def test_bounds_make_no_gram_sized_temporary(self):
+        n = 1024
+        gram = prng.complex_normals(3, n * n).reshape(n, n)
+        supports = np.sort(prng.sample_without_replacement(4, n, 8 * 64).reshape(64, 8))
+        tracemalloc.start()
+        try:
+            rip._deviation_bounds(gram, supports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gram.nbytes / 100
+
     def test_support_with_a_tight_bound_just_above_the_probe_is_solved(self, monkeypatch):
         # support (0, 1, 2) is a star with loose bounds: deviation 0.5 sqrt 2,
         # Gershgorin and Frobenius bounds 1.0, so it is the only probe.
@@ -183,6 +197,18 @@ class TestPrunedEstimateIsExact:
             table = _combinations(n, r)
             assert table.shape == (len(expected), r)
             assert [tuple(row) for row in table.tolist()] == expected
+
+    def test_enumeration_memory_stays_near_the_output_for_r_near_n(self):
+        # C(24, 22) = 276 rows; a table of every middle-sized subset would be
+        # C(24, 12) = 2.7e6 rows on the way there
+        tracemalloc.start()
+        try:
+            table = _combinations(24, 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (276, 22)
+        assert peak <= 2.5 * table.nbytes
 
 
 class MaterializeForbidden:
