@@ -43,7 +43,7 @@ for solver in ("direct", "richardson", "cg"):
     cfg = cosamp.RecoveryConfig(
         s=3,
         halting=cosamp.FixedIterations(10),
-        lsq=cosamp.LsqConfig(solver=solver, iterations=3, warm_start="current"),
+        lsq=cosamp.LsqConfig(solver=solver, iterations=3),
     )
     report = cosamp.recover(op, u, cfg)
     err = np.linalg.norm(x - report.approximation)

@@ -107,18 +107,22 @@ def parse_halting(entries) -> list:
 def parse_recovery(cfg: dict) -> RecoveryConfig:
     try:
         lsq_cfg = cfg.get("lsq", {})
+        # These keys once changed the algorithm; a run that ignored them
+        # would look valid but not be the run the config asked for.
+        for key in ("identify_width", "prune_width"):
+            if cfg.get(key) is not None:
+                raise ConfigError(f"{key} is fixed: the loop identifies 2s and prunes to s")
+        if lsq_cfg.get("warm_start", "current") != "current":
+            raise ConfigError("lsq.warm_start is fixed: solves start from the current estimate")
         lsq = LsqConfig(
             solver=lsq_cfg.get("solver", "cg"),
             iterations=int(lsq_cfg.get("iterations", 3)),
-            warm_start=lsq_cfg.get("warm_start", "current"),
         )
         return RecoveryConfig(
             s=int(cfg["s"]),
             halting=parse_halting(cfg.get("halting")),
             max_iterations=cfg.get("max_iterations"),
             lsq=lsq,
-            identify_width=cfg.get("identify_width"),
-            prune_width=cfg.get("prune_width"),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid recovery section: {exc}") from exc

@@ -40,21 +40,18 @@ class RankDeficiencyError(np.linalg.LinAlgError):
 class LsqConfig:
     """Solver selection for the estimation step.
 
-    ``warm_start='current'`` seeds the iterative solver with the current
-    signal approximation restricted to T; ``'zero'`` starts from nothing.
+    The recovery loop always seeds the iterative solvers with the current
+    signal approximation restricted to T.
     """
 
     solver: str = "cg"  # richardson | cg | direct
     iterations: int = 3
-    warm_start: str = "current"  # current | zero
 
     def __post_init__(self) -> None:
         if self.solver not in ("richardson", "cg", "direct"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.warm_start not in ("current", "zero"):
-            raise ValueError(f"unknown warm start {self.warm_start!r}")
 
 
 @dataclass(frozen=True)

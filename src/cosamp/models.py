@@ -169,12 +169,6 @@ class BandProfile:
     bands: dict[int, SupportSet]
     profile: int
 
-    def band_of(self, index: int) -> int | None:
-        for j, members in self.bands.items():
-            if index in set(members.indices.tolist()):
-                return j
-        return None
-
 
 def band_profile(x) -> BandProfile:
     x = np.asarray(x)
@@ -197,15 +191,11 @@ def band_profile(x) -> BandProfile:
 def _band_index(sq_value: float, total: float) -> int:
     # initial guess from logs, then exact ldexp comparisons settle boundaries
     j = max(int(math.floor(-math.log2(sq_value / total))), 0)
-    while sq_value <= _ldexp(total, -(j + 1)):
+    while sq_value <= math.ldexp(total, -(j + 1)):
         j += 1
-    while j > 0 and sq_value > _ldexp(total, -j):
+    while j > 0 and sq_value > math.ldexp(total, -j):
         j -= 1
     return j
-
-
-def _ldexp(value: float, exponent: int) -> float:
-    return math.ldexp(value, exponent)
 
 
 def iteration_bound(x, s: int) -> int:

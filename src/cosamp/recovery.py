@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -68,16 +68,14 @@ class RecoveryConfig:
     """Run parameters for :func:`recover`.
 
     ``max_iterations`` defaults to 6 (s + 1), the worst-case bound for
-    exact arithmetic.  ``identify_width`` / ``prune_width`` default to the
-    canonical 2s / s widths.
+    exact arithmetic.  Each iteration identifies 2s proxy components and
+    prunes to s, as the algorithm prescribes.
     """
 
     s: int
     halting: HaltingRule | Sequence[HaltingRule] = ()
     max_iterations: int | None = None
     lsq: LsqConfig = field(default_factory=LsqConfig)
-    identify_width: int | None = None
-    prune_width: int | None = None
     record_diagnostics: bool = False
 
     def __post_init__(self) -> None:
@@ -97,9 +95,8 @@ class RecoveryConfig:
         return 6 * (self.s + 1)
 
     def widths(self, n: int) -> tuple[int, int]:
-        identify = self.identify_width if self.identify_width is not None else 2 * self.s
-        prune = self.prune_width if self.prune_width is not None else self.s
-        return min(identify, n), min(prune, n)
+        """Identification and pruning widths 2s and s, capped at N."""
+        return min(2 * self.s, n), min(self.s, n)
 
 
 @dataclass(frozen=True)
@@ -153,22 +150,30 @@ def merge_support(omega: SupportSet, prev: SupportSet) -> SupportSet:
     return omega.union(prev)
 
 
+def _inf_norm(y: np.ndarray) -> float:
+    return float(np.abs(y).max()) if y.size else 0.0
+
+
+def _fires(rule: HaltingRule, k: int, v_norm: float, y_inf: float | None, s: int) -> bool:
+    """Whether ``rule`` fires after k iterations, given ||v||_2 and the
+    proxy's ||y||_inf (``None`` before the first proxy)."""
+    if isinstance(rule, FixedIterations):
+        return k >= rule.count
+    if isinstance(rule, SampleNorm):
+        return v_norm <= rule.epsilon
+    if isinstance(rule, ProxyInfinityNorm):
+        return y_inf is not None and y_inf <= rule.eta / np.sqrt(2.0 * s)
+    raise TypeError(f"unknown halting rule {rule!r}")
+
+
 def check_halt(state: RecoveryState, rule: HaltingRule) -> bool:
     """Whether ``rule`` fires on ``state``.
 
     The proxy rule reads the proxy stored in the state, i.e. the one
     computed during that iteration; it never triggers an extra multiply.
     """
-    if isinstance(rule, FixedIterations):
-        return state.k >= rule.count
-    if isinstance(rule, SampleNorm):
-        return float(np.linalg.norm(state.v)) <= rule.epsilon
-    if isinstance(rule, ProxyInfinityNorm):
-        if state.y is None:
-            return False
-        y_inf = float(np.abs(state.y).max()) if state.y.size else 0.0
-        return y_inf <= rule.eta / np.sqrt(2.0 * state.s)
-    raise TypeError(f"unknown halting rule {rule!r}")
+    y_inf = None if state.y is None else _inf_norm(state.y)
+    return _fires(rule, state.k, float(np.linalg.norm(state.v)), y_inf, state.s)
 
 
 def _merge(state: RecoveryState, y, omega: SupportSet, width: int) -> SupportSet:
@@ -179,11 +184,11 @@ def _merge(state: RecoveryState, y, omega: SupportSet, width: int) -> SupportSet
 def _estimate(
     op, u, state: RecoveryState, omega: SupportSet, T: SupportSet, config: RecoveryConfig
 ) -> tuple[np.ndarray, LsqResult | None]:
-    """Standard estimate: least squares on T against the original samples."""
+    """Standard estimate: least squares on T against the original samples,
+    warm-started from the current approximation restricted to T."""
     if len(T) == 0:
         return np.zeros_like(state.a), None
-    z0 = state.a[T.indices] if config.lsq.warm_start == "current" else None
-    result = solve(op, T, u, z0, config.lsq)
+    result = solve(op, T, u, state.a[T.indices], config.lsq)
     return embed(result.coefficients, T), result
 
 
@@ -256,12 +261,11 @@ def cosamp_iteration(
 
     It runs the same step code as :func:`recover`, so stepping it k times
     from :func:`initial_state` reproduces ``recover`` with
-    ``FixedIterations(k)``.
+    ``FixedIterations(k)``.  ``u`` is validated as in :func:`recover`.
     """
+    u = as_samples(u, op.m)
     y = op.adjoint(state.v)
-    return _iterate(
-        state, y, op, np.asarray(u), config, config.widths(op.n), _merge, _estimate, {}
-    )
+    return _iterate(state, y, op, u, config, config.widths(op.n), _merge, _estimate, {})
 
 
 @dataclass(frozen=True)
@@ -352,6 +356,11 @@ def recover(
 ) -> RecoveryReport:
     """Run the loop until a halting rule fires or the iteration cap is hit.
 
+    Before each proxy the loop checks the sample-norm rules, then the fixed
+    counts, then the cap; right after the proxy it checks the proxy rules.
+    The first that fires names the halt reason, whatever the order of
+    ``config.halting``.
+
     ``u`` must be a finite length-m sample vector (``ValueError`` otherwise);
     an estimate with non-finite coefficients raises :class:`SolverFailure`.
 
@@ -382,8 +391,6 @@ def _drive(
     sample_rules = [r for r in rules if isinstance(r, SampleNorm)]
     fixed_rules = [r for r in rules if isinstance(r, FixedIterations)]
     max_iters = config.effective_max_iterations()
-    for rule in fixed_rules:
-        max_iters = min(max_iters, rule.count)
     widths = config.widths(op.n)
 
     state = initial_state(op, u, config.s)
@@ -391,28 +398,31 @@ def _drive(
     trace: list[TraceRow] = []
     audits: list[tuple[StepBound, ...]] = []
     diverged: list[int] = []
-    halt_reason = "max_iterations"
+    v_norm = float(np.linalg.norm(state.v))
 
-    def fired(check_rules, probe) -> bool:
-        return any(check_halt(probe, rule) for rule in check_rules)
+    # One halting pass per iteration; see recover for the priority.
+    while True:
+        if any(_fires(r, state.k, v_norm, None, config.s) for r in sample_rules):
+            halt_reason = "sample_norm"
+            break
+        if any(_fires(r, state.k, v_norm, None, config.s) for r in fixed_rules):
+            halt_reason = "fixed_iterations"
+            break
+        if state.k >= max_iters:
+            halt_reason = "max_iterations"
+            break
 
-    if fired(sample_rules, state):
-        return RecoveryReport(state.a, support_of(state.a), 0, "sample_norm", ())
-    if max_iters == 0:
-        reason = "fixed_iterations" if fixed_rules else "max_iterations"
-        return RecoveryReport(state.a, support_of(state.a), 0, reason, ())
-
-    while state.k < max_iters:
         times: dict[str, float] = {}
         tick = time.perf_counter_ns()
-
         y = op.adjoint(state.v)
         times["proxy"] = (time.perf_counter_ns() - tick) / 1000.0
-        if proxy_rules and fired(proxy_rules, replace(state, y=y)):
+        y_inf = _inf_norm(y)
+        if any(_fires(r, state.k, v_norm, y_inf, config.s) for r in proxy_rules):
             halt_reason = "proxy_infinity_norm"
             break
 
         state = _iterate(state, y, op, u, config, widths, merge, estimate, times)
+        v_norm = float(np.linalg.norm(state.v))
         if state.lsq_result is not None and state.lsq_result.diverged:
             diverged.append(state.k)
 
@@ -420,20 +430,10 @@ def _drive(
         if x is not None:
             diff = x - state.a
             err_l2 = float(np.linalg.norm(diff))
-            err_linf = float(np.abs(diff).max()) if diff.size else 0.0
-        y_inf = float(np.abs(y).max()) if y.size else 0.0
-        trace.append(
-            TraceRow(state.k, float(np.linalg.norm(state.v)), y_inf, err_l2, err_linf, times)
-        )
+            err_linf = _inf_norm(diff)
+        trace.append(TraceRow(state.k, v_norm, y_inf, err_l2, err_linf, times))
         if config.record_diagnostics and x is not None:
             audits.append(iteration_diagnostics(state, x, noise))
-
-        if fired(sample_rules, state):
-            halt_reason = "sample_norm"
-            break
-        if fixed_rules and any(state.k >= rule.count for rule in fixed_rules):
-            halt_reason = "fixed_iterations"
-            break
 
     return RecoveryReport(
         approximation=state.a,

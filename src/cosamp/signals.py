@@ -98,11 +98,6 @@ class SupportSet:
         mask[self.indices] = False
         return SupportSet(np.flatnonzero(mask).astype(np.int64), self.n)
 
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.n, dtype=bool)
-        out[self.indices] = True
-        return out
-
 
 def support_of(x: np.ndarray) -> SupportSet:
     """Exact nonzero support of ``x``."""

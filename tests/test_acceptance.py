@@ -214,7 +214,7 @@ def test_criterion_05_iterative_least_squares(gated_pool):
                                        lsq=LsqConfig(solver="direct"))
             rich_cfg = RecoveryConfig(
                 s=s, halting=FixedIterations(15),
-                lsq=LsqConfig(solver="richardson", iterations=3, warm_start="current"),
+                lsq=LsqConfig(solver="richardson", iterations=3),
             )
             err_exact = np.linalg.norm(x - recover(op, u, exact_cfg).approximation)
             err_rich = np.linalg.norm(x - recover(op, u, rich_cfg).approximation)

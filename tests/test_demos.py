@@ -1,4 +1,4 @@
-"""Smoke test: the demos that walk through the recovery loop still run."""
+"""Smoke test: every demo but the slow phase-transition sweep still runs."""
 
 import os
 import subprocess
@@ -12,7 +12,15 @@ REPO = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script",
-    ["01_sparse_recovery.py", "03_rip_diagnostics.py", "05_halting_rules.py", "07_variants.py"],
+    [
+        "01_sparse_recovery.py",
+        "02_sampling_operators.py",
+        "03_rip_diagnostics.py",
+        "04_iterative_least_squares.py",
+        "05_halting_rules.py",
+        "06_signal_models.py",
+        "07_variants.py",
+    ],
 )
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)

@@ -68,6 +68,24 @@ class TestConfigLoading:
         assert cfg.lsq.solver == "cg"
         assert cfg.effective_max_iterations() == 30
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"s": 4, "identify_width": 8},
+            {"s": 4, "prune_width": 4},
+            {"s": 4, "lsq": {"warm_start": "zero"}},
+        ],
+        ids=["identify_width", "prune_width", "warm_start_zero"],
+    )
+    def test_fixed_loop_settings_rejected(self, section):
+        # these keys once changed the algorithm; ignoring them would run something else
+        with pytest.raises(ConfigError):
+            parse_recovery(section)
+
+    def test_current_warm_start_accepted(self):
+        cfg = parse_recovery({"s": 4, "lsq": {"solver": "richardson", "warm_start": "current"}})
+        assert cfg.lsq.solver == "richardson"
+
 
 class TestBuildNoise:
     def test_exact_norm(self):

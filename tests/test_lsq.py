@@ -263,8 +263,6 @@ class TestDispatch:
             LsqConfig(solver="qr")
         with pytest.raises(ValueError):
             LsqConfig(iterations=0)
-        with pytest.raises(ValueError):
-            LsqConfig(warm_start="previous")
 
 
 class TestWarmStartBound:

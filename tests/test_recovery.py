@@ -129,6 +129,15 @@ class TestRecover:
         assert report.iterations_run == 0
         assert report.halt_reason == "fixed_iterations"
 
+    def test_zero_cap_outranks_a_positive_fixed_count(self):
+        # the cap stops the run before the count is reached, so the cap is the reason
+        op = cosamp.gaussian_operator(8, 16, seed=4)
+        cfg = RecoveryConfig(s=2, halting=FixedIterations(5), max_iterations=0)
+        report = recover(op, np.ones(8), cfg)
+        assert report.iterations_run == 0
+        assert report.halt_reason == "max_iterations"
+        assert report.trace == ()
+
     def test_zero_samples_halt_immediately(self):
         op = cosamp.gaussian_operator(8, 16, seed=5)
         report = recover(op, np.zeros(8), RecoveryConfig(s=2, halting=SampleNorm(1e-6)))
@@ -177,6 +186,18 @@ class TestRecover:
         u[2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             recover(op, u, RecoveryConfig(s=2, halting=FixedIterations(5)))
+
+    @pytest.mark.parametrize("op", [cosamp.gaussian_operator(16, 64, seed=3),
+                                    cosamp.partial_fourier_operator(16, 64, seed=3)],
+                             ids=["gaussian", "partial_fourier"])
+    def test_trace_v_norm_is_the_residual_norm(self, op):
+        # the row's v_norm is ||u - Phi a_k||_2 of that iteration's a_k, bit for bit
+        x, _, u = planted_instance(op, 2, seed=50, noise_norm=0.01)
+        report = recover(op, u, RecoveryConfig(s=2, halting=FixedIterations(5)), truth=x)
+        assert [row.k for row in report.trace] == [1, 2, 3, 4, 5]
+        for row in report.trace:
+            a_k = recover(op, u, RecoveryConfig(s=2, halting=FixedIterations(row.k))).approximation
+            assert row.v_norm == float(np.linalg.norm(u - op.apply(a_k)))
 
     def test_wrong_sample_length_rejected(self):
         op = cosamp.gaussian_operator(16, 64, seed=3)
@@ -272,6 +293,19 @@ class TestHaltingRules:
         assert report.iterations_run == 4
         assert report.halt_reason == "fixed_iterations"
 
+    @pytest.mark.parametrize("fixed_first", [True, False])
+    def test_sample_norm_outranks_fixed_count_on_the_same_iteration(self, fixed_first):
+        op = cosamp.gaussian_operator(32, 64, seed=12)
+        x, _, u = planted_instance(op, 3, seed=45)
+        k = recover(op, u, RecoveryConfig(s=3, halting=SampleNorm(1e-8))).iterations_run
+        assert 0 < k < 30
+        rules = [FixedIterations(k), SampleNorm(1e-8)]
+        if not fixed_first:
+            rules.reverse()
+        report = recover(op, u, RecoveryConfig(s=3, halting=rules))
+        assert report.iterations_run == k
+        assert report.halt_reason == "sample_norm"
+
     def test_any_rule_triggers(self):
         op = cosamp.gaussian_operator(32, 64, seed=12)
         x, _, u = planted_instance(op, 3, seed=45)
@@ -354,3 +388,11 @@ class TestOneEngine:
             assert np.array_equal(u - op.apply(report.approximation), state.v)
             assert report.trace[-1].v_norm == float(np.linalg.norm(state.v))
             assert merged[-1] == state.T
+
+    def test_stepping_rejects_non_finite_samples(self):
+        op = cosamp.gaussian_operator(16, 64, seed=3)
+        u = op.apply(np.eye(64)[5])
+        u[2] = np.nan
+        state = initial_state(op, u, 2)
+        with pytest.raises(ValueError, match="sample vector contains non-finite"):
+            cosamp_iteration(state, op, u, RecoveryConfig(s=2))
