@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiment, prng, serialize
+from . import experiment, serialize
 from .experiment import ConfigError
 from .recovery import SolverFailure
 from .rip import RipBudgetError, rip_estimate
@@ -216,14 +216,7 @@ def cmd_bench(args, cfg: dict, out_dir: Path) -> int:
 
 def cmd_gen_signal(args, cfg: dict, out_dir: Path) -> int:
     master = int(cfg.get("master_seed", 0))
-    signal = experiment.build_signal(
-        cfg["signal"],
-        (
-            prng.mix_seed(master, 0, 0, experiment.STREAM_SIGNAL_POSITIONS),
-            prng.mix_seed(master, 0, 0, experiment.STREAM_SIGNAL_SIGNS),
-            prng.mix_seed(master, 0, 0, experiment.STREAM_PERMUTATION),
-        ),
-    )
+    signal = experiment.build_signal(cfg["signal"], experiment.signal_seeds(master, 0, 0))
     serialize.write_signal(out_dir / "signal.csk1", signal)
     if args.json:
         print(json.dumps({"n": int(signal.size), "l2": float(np.linalg.norm(signal))}))

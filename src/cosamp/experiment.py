@@ -18,7 +18,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +136,12 @@ def build_operator(desc: dict) -> SamplingOperator:
         raise ConfigError(f"invalid operator descriptor: {exc}") from exc
 
 
+def signal_seeds(master: int, cell_index: int, trial_index: int) -> tuple[int, ...]:
+    """A trial's derived (position, sign, permutation) signal seeds."""
+    streams = (STREAM_SIGNAL_POSITIONS, STREAM_SIGNAL_SIGNS, STREAM_PERMUTATION)
+    return tuple(prng.mix_seed(master, cell_index, trial_index, st) for st in streams)
+
+
 def build_signal(spec: dict, seeds: tuple[int, int, int]) -> np.ndarray:
     """Instantiate the signal model; explicit per-spec seeds win over derived."""
     position_seed, sign_seed, permutation_seed = seeds
@@ -217,14 +223,7 @@ def run_trial(
     signal_spec = dict(cfg["signal"])
     if "s" in cell:
         signal_spec["s"] = cell["s"]
-    truth = build_signal(
-        signal_spec,
-        (
-            prng.mix_seed(master, cell_index, trial_index, STREAM_SIGNAL_POSITIONS),
-            prng.mix_seed(master, cell_index, trial_index, STREAM_SIGNAL_SIGNS),
-            prng.mix_seed(master, cell_index, trial_index, STREAM_PERMUTATION),
-        ),
-    )
+    truth = build_signal(signal_spec, signal_seeds(master, cell_index, trial_index))
 
     noise_spec = cfg.get("noise")
     if "noise_norm" in cell:
@@ -295,17 +294,7 @@ def report_payload(outcome: TrialOutcome) -> dict:
         "noise_norm": outcome.noise_norm,
         "success": outcome.success,
         "diverged_iterations": list(report.diverged_iterations),
-        "trace": [
-            {
-                "k": row.k,
-                "v_norm": row.v_norm,
-                "y_inf": row.y_inf,
-                "err_l2": row.err_l2,
-                "err_linf": row.err_linf,
-                "step_times_us": row.step_times_us,
-            }
-            for row in report.trace
-        ],
+        "trace": [asdict(row) for row in report.trace],
     }
 
 

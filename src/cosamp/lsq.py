@@ -1,13 +1,17 @@
 """Least-squares solvers for the estimation step.
 
-Richardson's iteration and conjugate gradient need the normal product
-Phi_T* Phi_T z once per iteration.  When the operator offers a closed-form
-Gram (``gram_sub``, e.g. partial Fourier) that product is a |T| x |T|
+Every solver sees Phi_T through one view, ``op.restricted(T)`` (see
+:class:`cosamp.operators.RestrictedView`), made once per solve.  Richardson's
+iteration and conjugate gradient need the normal product Phi_T* Phi_T z
+once per iteration.  When the operator offers a closed-form Gram
+(``gram_sub``, e.g. partial Fourier) that product is a |T| x |T|
 matrix-vector multiply; otherwise it is one multiply each with Phi_T and
-Phi_T*, so the solvers compose with any matrix-free operator.  Either way
-the right-hand side Phi_T* u and the final sample-space residual are real
-operator products.  The direct normal-equations solver is reference
-scaffolding: exact, but it forms the Gram matrix.
+Phi_T*, so the solvers compose with any matrix-free operator.  A dense
+operator's view slices Phi_T once, and its products are BLAS calls on that
+slice; forming its Gram would cost more than the few iterations it serves.
+Either way the right-hand side Phi_T* u and the final sample-space
+residual are real operator products.  The direct normal-equations solver
+is reference scaffolding: exact, but it forms the Gram matrix.
 
 When ||Phi_T* Phi_T - I|| < 1, Richardson contracts by that norm per
 iteration; three warm-started iterations suffice for the recovery loop's
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SamplingOperator, closed_form_gram, gram_matrix
+from .operators import RestrictedView, SamplingOperator
 from .signals import SupportSet
 
 _DIVERGENCE_FACTOR = 10.0
@@ -62,8 +66,8 @@ class LsqResult:
     diverged: bool = False
 
 
-def _result(op, T, u, z, iterations) -> LsqResult:
-    residual = u - op.apply_sub(T, z)
+def _result(view: RestrictedView, u, z, iterations) -> LsqResult:
+    residual = u - view.apply(z)
     return LsqResult(z, iterations, float(np.linalg.norm(residual)), False)
 
 
@@ -82,18 +86,6 @@ def _prepare(op: SamplingOperator, T: SupportSet, u, z0) -> np.ndarray:
     return z0
 
 
-def _normal_product(op: SamplingOperator, T: SupportSet):
-    """z -> Phi_T* Phi_T z, through the closed-form Gram when the operator has one.
-
-    Dense operators keep the two products: forming their Gram costs more
-    than the few iterations it would serve.
-    """
-    gram = closed_form_gram(op, T)
-    if gram is None:
-        return lambda z: op.adjoint_sub(T, op.apply_sub(T, z))
-    return lambda z: gram @ z
-
-
 def richardson_solve(
     op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3
 ) -> LsqResult:
@@ -104,12 +96,12 @@ def richardson_solve(
     result is flagged, and the caller decides what to do.
     """
     z = _prepare(op, T, u, z0)
-    normal = _normal_product(op, T)
-    atu = op.adjoint_sub(T, u)
-    initial_residual = float(np.linalg.norm(u - op.apply_sub(T, z)))
+    view = op.restricted(T)
+    atu = view.adjoint(u)
+    initial_residual = float(np.linalg.norm(u - view.apply(z)))
     for _ in range(iterations):
-        z = atu - normal(z) + z
-    residual = float(np.linalg.norm(u - op.apply_sub(T, z)))
+        z = atu - view.normal(z) + z
+    residual = float(np.linalg.norm(u - view.apply(z)))
     diverged = residual > _DIVERGENCE_FACTOR * max(initial_residual, 1e-300)
     return LsqResult(z, iterations, residual, diverged)
 
@@ -119,21 +111,21 @@ def cg_solve(
 ) -> LsqResult:
     """Conjugate gradient on the normal equations Phi_T* Phi_T z = Phi_T* u.
 
-    Each iteration costs one normal product (see :func:`_normal_product`).
-    Terminates early on a zero residual (e.g. when seeded with the exact
-    solution).
+    Each iteration costs one normal product of the view (see the module
+    docstring).  Terminates early on a zero residual (e.g. when seeded with
+    the exact solution).
     """
     z = _prepare(op, T, u, z0)
-    normal = _normal_product(op, T)
-    atu = op.adjoint_sub(T, u)
-    resid = atu - normal(z)
+    view = op.restricted(T)
+    atu = view.adjoint(u)
+    resid = atu - view.normal(z)
     direction = resid.copy()
     rho = float(np.vdot(resid, resid).real)
     used = 0
     for _ in range(iterations):
         if rho == 0.0:
             break
-        gram_d = normal(direction)
+        gram_d = view.normal(direction)
         curvature = float(np.vdot(direction, gram_d).real)
         if curvature <= 0.0:
             break
@@ -144,24 +136,25 @@ def cg_solve(
         direction = resid + (rho_next / rho) * direction
         rho = rho_next
         used += 1
-    return _result(op, T, u, z, used)
+    return _result(view, u, z, used)
 
 
 def direct_solve(op: SamplingOperator, T: SupportSet, u) -> LsqResult:
     """Exact pseudoinverse solve (Phi_T* Phi_T)^{-1} Phi_T* u.
 
-    Reference oracle only: forms and factors the Gram (see
-    :func:`cosamp.operators.gram_matrix`), so it is deliberately not the
+    Reference oracle only: forms and factors the view's Gram (see
+    :meth:`cosamp.operators.RestrictedView.gram`), so it is deliberately not the
     production path.  Raises :class:`RankDeficiencyError` when the smallest
     Gram eigenvalue falls at or below 1e-12.
     """
     _prepare(op, T, u, None)
-    gram = gram_matrix(op, T)
+    view = op.restricted(T)
+    gram = view.gram()
     smallest = float(np.linalg.eigvalsh(gram)[0])
     if smallest <= 1e-12:
         raise RankDeficiencyError(smallest)
-    z = np.linalg.solve(gram, op.adjoint_sub(T, u))
-    return _result(op, T, u, z, 1)
+    z = np.linalg.solve(gram, view.adjoint(u))
+    return _result(view, u, z, 1)
 
 
 def solve(op: SamplingOperator, T: SupportSet, u, z0, config: LsqConfig) -> LsqResult:

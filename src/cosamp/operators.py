@@ -5,11 +5,17 @@ actions ``apply_sub`` / ``adjoint_sub``, implemented by embedding and
 restricting so that matrix-free kinds never extract columns.  ``adjoint``
 is the true conjugate transpose for all kinds.
 
+The solvers and the Gram builders see Phi_T through ``restricted(T)``, a
+view with ``apply``, ``adjoint``, ``normal``, ``columns`` and ``gram`` that
+runs on the operator's own ``apply_sub`` / ``adjoint_sub``.  Dense
+operators, unless a subclass overrides those, slice Phi_T once per view
+instead of once per product.
+
 An operator whose Gram matrix ``Phi* Phi`` has a closed form may also offer
 ``gram_sub(T)``, returning ``Phi_T* Phi_T`` without an operator product
 (partial Fourier does).  It is deliberately not declared on the base class:
-callers reach it through :func:`closed_form_gram`, so delegating wrappers
-that forward unknown attributes to the operator they wrap reach it too.
+the view looks it up as an attribute, so delegating wrappers that forward
+unknown attributes to the operator they wrap reach it too.
 """
 
 from __future__ import annotations
@@ -62,16 +68,14 @@ class SamplingOperator(abc.ABC):
         self._check_support(T)
         return self.adjoint(v)[T.indices]
 
+    def restricted(self, T: SupportSet) -> "RestrictedView":
+        """Phi_T as a view for one solve (see :class:`RestrictedView`)."""
+        self._check_support(T)
+        return RestrictedView(self, T)
+
     def materialize(self) -> np.ndarray:
         """Dense m x N matrix (oracle/diagnostic use; O(mN) memory)."""
-        dtype = np.complex128 if self.is_complex else np.float64
-        basis = np.zeros(self.n, dtype=dtype)
-        cols = np.empty((self.m, self.n), dtype=np.complex128)
-        for j in range(self.n):
-            basis[j] = 1.0
-            cols[:, j] = self.apply(basis)
-            basis[j] = 0.0
-        return cols if self.is_complex else cols.real
+        return self.restricted(SupportSet.full(self.n)).columns()
 
     def _check_support(self, T: SupportSet) -> None:
         if T.n != self.n:
@@ -81,6 +85,66 @@ class SamplingOperator(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(m={self.m}, n={self.n})"
+
+
+class RestrictedView:
+    """Phi_T of one operator on one support T, made once per solve.
+
+    ``apply`` / ``adjoint`` are the operator's ``apply_sub`` / ``adjoint_sub``
+    on T and ``normal(z)`` is Phi_T* Phi_T z.  ``columns()`` is Phi_T as an
+    array, column j being ``apply_sub`` of a one on the single index t_j,
+    which touches one column rather than |T|.  ``gram()`` is Phi_T* Phi_T of
+    the columns, unless the operator offers ``gram_sub``: then it is that
+    closed form, formed once per view, and ``normal`` multiplies by it.
+    """
+
+    def __init__(self, op: SamplingOperator, T: SupportSet):
+        self.op, self.T, self._gram = op, T, None
+        self._gram_sub = getattr(op, "gram_sub", None)
+
+    def apply(self, z) -> np.ndarray:
+        return self.op.apply_sub(self.T, z)
+
+    def adjoint(self, v) -> np.ndarray:
+        return self.op.adjoint_sub(self.T, v)
+
+    def normal(self, z) -> np.ndarray:
+        return self.adjoint(self.apply(z)) if self._gram_sub is None else self.gram() @ z
+
+    def columns(self) -> np.ndarray:
+        op, T = self.op, self.T
+        dtype = np.complex128 if op.is_complex else np.float64
+        cols = np.empty((op.m, len(T)), dtype=dtype)
+        one = np.ones(1, dtype=dtype)
+        for j in range(len(T)):
+            cols[:, j] = op.apply_sub(SupportSet(T.indices[j : j + 1], op.n), one)
+        return cols
+
+    def gram(self) -> np.ndarray:
+        if self._gram_sub is None:
+            cols = self.columns()
+            return cols.conj().T @ cols
+        if self._gram is None:
+            self._gram = self._gram_sub(self.T)
+        return self._gram
+
+
+class _SlicedView(RestrictedView):
+    """Dense Phi_T sliced once.  Each product is the BLAS call that
+    ``apply_sub`` / ``adjoint_sub`` make on a fresh slice, so the results
+    are theirs bit for bit; the columns are the slice."""
+
+    def __init__(self, T: SupportSet, sub: np.ndarray):
+        self.T, self.sub, self.sub_h, self._gram_sub = T, sub, sub.conj().T, None
+
+    def apply(self, z) -> np.ndarray:
+        return self.sub @ _check_length(z, len(self.T), "coefficients")
+
+    def adjoint(self, v) -> np.ndarray:
+        return self.sub_h @ _check_length(v, self.sub.shape[0], "sample vector")
+
+    def columns(self) -> np.ndarray:
+        return self.sub
 
 
 class IdentityOperator(SamplingOperator):
@@ -135,6 +199,14 @@ class DenseOperator(SamplingOperator):
         self._check_support(T)
         v = _check_length(v, self.m, "sample vector")
         return self.matrix[:, T.indices].conj().T @ v
+
+    def restricted(self, T: SupportSet) -> RestrictedView:
+        """Phi_T sliced once; the base view when a subclass overrides a product."""
+        cls = type(self)
+        if (cls.apply_sub, cls.adjoint_sub) != (DenseOperator.apply_sub, DenseOperator.adjoint_sub):
+            return super().restricted(T)
+        self._check_support(T)
+        return _SlicedView(T, self.matrix[:, T.indices])
 
     def materialize(self) -> np.ndarray:
         return np.array(self.matrix)
@@ -219,28 +291,9 @@ class PartialFourierOperator(SamplingOperator):
         return phases / math.sqrt(self.m)
 
 
-def closed_form_gram(op: SamplingOperator, T: SupportSet) -> np.ndarray | None:
-    """``op.gram_sub(T)`` when the operator offers it, else None."""
-    gram_sub = getattr(op, "gram_sub", None)
-    return None if gram_sub is None else gram_sub(T)
-
-
 def gram_matrix(op: SamplingOperator, T: SupportSet) -> np.ndarray:
-    """Phi_T* Phi_T: the closed form when offered, else built column by column.
-
-    Column j is ``apply_sub`` of a one on the single index t_j, which is
-    exact for dense operators (their Gram matches ``Phi_T^H Phi_T`` bit for
-    bit) and touches one column of the matrix rather than |T|.
-    """
-    gram = closed_form_gram(op, T)
-    if gram is not None:
-        return gram
-    dtype = np.complex128 if op.is_complex else np.float64
-    cols = np.empty((op.m, len(T)), dtype=dtype)
-    one = np.ones(1, dtype=dtype)
-    for j in range(len(T)):
-        cols[:, j] = op.apply_sub(SupportSet(T.indices[j : j + 1], op.n), one)
-    return cols.conj().T @ cols
+    """Phi_T* Phi_T, as ``op.restricted(T).gram()`` forms it."""
+    return op.restricted(T).gram()
 
 
 def identity_operator(n: int) -> IdentityOperator:

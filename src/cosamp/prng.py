@@ -21,6 +21,8 @@ Changing any of these choices invalidates stored fixtures, so don't.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -53,10 +55,22 @@ def mix_seed(*parts: int) -> int:
     return state
 
 
+_local = threading.local()
+
+
 def raw_words(seed: int, count: int) -> np.ndarray:
-    """``count`` raw uint64 words from Philox-4x64-10 keyed by ``seed``."""
-    bg = np.random.Philox(key=int(seed) & _MASK64)
-    return bg.random_raw(count)
+    """``count`` raw uint64 words from Philox-4x64-10 keyed by ``seed``.
+
+    They are the words of a fresh ``numpy.random.Philox(key=seed)``, whose
+    construction draws OS entropy for a seed the key then overrides; so each
+    thread keeps one generator and resets it to counter 0 under the key.
+    """
+    if not hasattr(_local, "philox"):
+        _local.philox = np.random.Philox(key=0)
+        _local.fresh = _local.philox.state  # counter 0, empty buffer
+    _local.fresh["state"]["key"][0] = int(seed) & _MASK64
+    _local.philox.state = _local.fresh
+    return _local.philox.random_raw(count)
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:

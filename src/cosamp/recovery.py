@@ -104,7 +104,12 @@ class RecoveryState:
     """Everything the loop knows after an iteration: approximation a,
     previous approximation, current samples v, the proxy y that drove the
     iteration, the identified and merged supports, and the pre-prune
-    estimate b."""
+    estimate b.
+
+    ``support`` is supp(a) as the prune chose it, so that no later step
+    rescans a; None means not known, and the loop then takes it from a.  A
+    state built around another ``a`` must leave it None.
+    """
 
     k: int
     s: int
@@ -116,6 +121,12 @@ class RecoveryState:
     T: SupportSet
     b: np.ndarray | None
     lsq_result: LsqResult | None = None
+    support: SupportSet | None = None
+
+
+def _support(state: RecoveryState) -> SupportSet:
+    """supp(a): the prune's support when the state carries it, else a scan of a."""
+    return support_of(state.a) if state.support is None else state.support
 
 
 def initial_state(op: SamplingOperator, u, s: int) -> RecoveryState:
@@ -178,7 +189,7 @@ def check_halt(state: RecoveryState, rule: HaltingRule) -> bool:
 
 def _merge(state: RecoveryState, y, omega: SupportSet, width: int) -> SupportSet:
     """Standard merge: Omega united with the current approximation's support."""
-    return merge_support(omega, support_of(state.a))
+    return merge_support(omega, _support(state))
 
 
 def _estimate(
@@ -233,7 +244,7 @@ def _iterate(
     times["estimate"] = (time.perf_counter_ns() - tick) / 1000.0
 
     tick = time.perf_counter_ns()
-    a_next, _ = best_s_approx(b, prune_width)
+    a_next, support = best_s_approx(b, prune_width)
     times["prune"] = (time.perf_counter_ns() - tick) / 1000.0
 
     tick = time.perf_counter_ns()
@@ -251,6 +262,7 @@ def _iterate(
         T=T,
         b=b,
         lsq_result=lsq_result,
+        support=support,
     )
 
 
@@ -437,7 +449,7 @@ def _drive(
 
     return RecoveryReport(
         approximation=state.a,
-        support=support_of(state.a),
+        support=_support(state),
         iterations_run=state.k,
         halt_reason=halt_reason,
         trace=tuple(trace),

@@ -13,7 +13,8 @@ import numpy as np
 
 from .lsq import direct_solve, solve
 from .operators import SamplingOperator
-from .recovery import RecoveryConfig, RecoveryReport, _drive, _estimate, _merge, merge_support
+from .recovery import (RecoveryConfig, RecoveryReport, _drive, _estimate, _merge, _support,
+                       merge_support)
 from .signals import SupportSet, best_s_approx, embed, support_of
 
 
@@ -67,7 +68,7 @@ def recover_prune_first_variant(
 
 
 def _surrogate_prune(state, y: np.ndarray, omega: SupportSet, width: int) -> SupportSet:
-    prev = support_of(state.a)
+    prev = _support(state)
     merged = merge_support(omega, prev)
     if len(merged) <= width:
         return merged

@@ -1,5 +1,7 @@
 """Iterative least-squares solvers against the direct reference."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cosamp.lsq import (
     solve,
 )
 from cosamp.operators import (
+    DenseOperator,
     SamplingOperator,
     dense_operator,
     gaussian_operator,
@@ -282,3 +285,63 @@ class TestWarmStartBound:
             lhs = np.linalg.norm(a_prev_on_t - z_star)
             rhs = 2.112 * np.linalg.norm(x - state.a_prev) + 1.06 * np.linalg.norm(e)
             assert lhs <= rhs + 1e-12
+
+
+class TestRestrictedView:
+    @pytest.mark.parametrize("kind", ["dense", "partial_fourier"])
+    def test_forwarding_view_matches_submatrix_actions(self, kind):
+        if kind == "dense":
+            inner = gaussian_operator(16, 32, seed=2)
+            T = SupportSet(np.array([3, 8, 20]), 32)
+        else:
+            inner, T, _, _ = partial_fourier_instance()
+        op = Forwarding(inner)
+        view = op.restricted(T)
+        z = prng.complex_normals(30, len(T))
+        v = prng.complex_normals(31, op.m)
+        assert np.array_equal(view.apply(z), inner.apply_sub(T, z))
+        assert np.array_equal(view.adjoint(v), inner.adjoint_sub(T, v))
+        assert np.array_equal(view.normal(z), inner.restricted(T).normal(z))
+        assert np.array_equal(view.gram(), inner.restricted(T).gram())
+
+    def test_forwarding_products_are_counted(self):
+        op = Forwarding(gaussian_operator(16, 32, seed=2))
+        view = op.restricted(SupportSet(np.array([3, 8, 20]), 32))
+        view.normal(np.ones(3))
+        view.adjoint(np.ones(16))
+        assert op.products == 3
+
+    @pytest.mark.parametrize("solver", [cg_solve, richardson_solve])
+    def test_dense_override_is_used(self, solver):
+        class Counted(DenseOperator):
+            calls = 0
+
+            def apply_sub(self, T, coeffs):
+                Counted.calls += 1
+                return super().apply_sub(T, coeffs)
+
+        op = Counted(gaussian_operator(16, 32, seed=2).matrix)
+        T = SupportSet(np.array([3, 8, 20]), 32)
+        u = prng.normals(7, 16)
+        result = solver(op, T, u, None, iterations=3)
+        assert Counted.calls >= 4  # every normal product and the final residual
+        bare = solver(gaussian_operator(16, 32, seed=2), T, u, None, iterations=3)
+        assert np.array_equal(result.coefficients, bare.coefficients)
+
+    @pytest.mark.parametrize("make", [gaussian_operator, partial_fourier_operator])
+    def test_solve_leaves_no_reference_cycle(self, make):
+        # a view that referenced itself would keep each Phi_T slice alive until GC
+        op = make(64, 256, seed=3)
+        T = SupportSet(np.arange(0, 256, 9), 256)
+        u = prng.normals(8, op.m)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for solver in (cg_solve, richardson_solve):
+                solver(op, T, u, None, iterations=3)
+            direct_solve(op, T, u)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -9,6 +9,7 @@ from cosamp.operators import (
     GaussianOperator,
     IdentityOperator,
     PartialFourierOperator,
+    SamplingOperator,
     dense_operator,
     gaussian_operator,
     gram_matrix,
@@ -138,6 +139,110 @@ class TestClosedFormGram:
         cols = op.matrix[:, T.indices]
         assert not hasattr(op, "gram_sub")
         assert np.array_equal(gram_matrix(op, T), cols.conj().T @ cols)
+
+
+def view_cases():
+    """(name, operator, support) for each operator kind the view serves."""
+    real = prng.normals(41, 24 * 80).reshape(24, 80)
+    cplx = real + 1j * prng.normals(42, 24 * 80).reshape(24, 80)
+    T = SupportSet(np.array([0, 3, 17, 40, 79]), 80)
+    return [
+        ("dense-real", dense_operator(real), T),
+        ("dense-complex", dense_operator(cplx), T),
+        ("gaussian", gaussian_operator(24, 80, seed=43), T),
+        ("partial-fourier", partial_fourier_operator(16, 64, seed=44),
+         SupportSet(np.array([0, 9, 33, 63]), 64)),
+        ("identity", identity_operator(80), T),
+    ]
+
+
+def column_loop_gram(op, T):
+    """Phi_T* Phi_T from single-column ``apply_sub`` products."""
+    dtype = np.complex128 if op.is_complex else np.float64
+    cols = np.empty((op.m, len(T)), dtype=dtype)
+    for j in range(len(T)):
+        single = SupportSet(T.indices[j : j + 1], op.n)
+        cols[:, j] = op.apply_sub(single, np.ones(1, dtype=dtype))
+    return cols.conj().T @ cols
+
+
+class TestRestrictedView:
+    @pytest.mark.parametrize("case", view_cases(), ids=lambda c: c[0])
+    def test_products_match_submatrix_actions(self, case):
+        _, op, T = case
+        view = op.restricted(T)
+        for seed in range(3):
+            z = random_signal(50 + seed, len(T), complex_valued=op.is_complex)
+            v = random_signal(60 + seed, op.m, complex_valued=op.is_complex)
+            assert np.array_equal(view.apply(z), op.apply_sub(T, z))
+            assert np.array_equal(view.adjoint(v), op.adjoint_sub(T, v))
+            if hasattr(op, "gram_sub"):
+                assert np.array_equal(view.normal(z), op.gram_sub(T) @ z)
+                slow = op.adjoint_sub(T, op.apply_sub(T, z))
+                assert np.abs(view.normal(z) - slow).max() <= 1e-12 * np.abs(slow).max()
+            else:
+                assert np.array_equal(view.normal(z), op.adjoint_sub(T, op.apply_sub(T, z)))
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 30), (40, 40), (64, 300)])
+    def test_dense_gram_equals_column_loop(self, shape, complex_valued):
+        m, n = shape
+        mat = prng.normals(m * n, m * n).reshape(m, n)
+        if complex_valued:
+            mat = mat + 1j * prng.normals(m * n + 1, m * n).reshape(m, n)
+        op = dense_operator(mat)
+        for size in sorted({1, min(3, n), min(17, n), n}):
+            T = SupportSet(prng.sample_without_replacement(size, n, size), n)
+            assert np.array_equal(op.restricted(T).gram(), column_loop_gram(op, T))
+            assert np.array_equal(gram_matrix(op, T), column_loop_gram(op, T))
+
+    def test_dense_view_slices_once(self):
+        op = gaussian_operator(16, 64, seed=45)
+        T = SupportSet(np.array([2, 5, 60]), 64)
+        view = op.restricted(T)
+        assert np.array_equal(view.sub, op.matrix[:, T.indices])
+        assert not np.shares_memory(view.sub, op.matrix)  # products never gather again
+
+    def test_subclass_override_gets_base_view(self):
+        class Doubled(GaussianOperator):
+            def apply_sub(self, T, coeffs):
+                return 2.0 * super().apply_sub(T, coeffs)
+
+        op = Doubled(16, 64, seed=46)
+        T = SupportSet(np.array([1, 8]), 64)
+        z = random_signal(47, 2)
+        view = op.restricted(T)
+        assert np.array_equal(view.apply(z), op.apply_sub(T, z))
+        assert np.array_equal(view.gram(), column_loop_gram(op, T))
+
+    @pytest.mark.parametrize("case", view_cases(), ids=lambda c: c[0])
+    def test_generic_materialize_uses_view_columns(self, case):
+        _, op, _ = case
+
+        class ApplyOnly(SamplingOperator):
+            m, n, is_complex = op.m, op.n, op.is_complex
+
+            def apply(self, x):
+                return op.apply(x)
+
+            def adjoint(self, v):
+                return op.adjoint(v)
+
+        cols = ApplyOnly().materialize()
+        assert cols.dtype == (np.complex128 if op.is_complex else np.float64)
+        assert np.abs(cols - op.materialize()).max() <= 1e-12
+
+    def test_rejects_support_of_other_dimension(self):
+        for _, op, _ in view_cases():
+            with pytest.raises(DimensionMismatchError):
+                op.restricted(SupportSet(np.array([0, 3]), op.n + 1))
+
+    def test_dense_view_checks_lengths(self):
+        view = gaussian_operator(16, 64, seed=48).restricted(SupportSet(np.array([1, 8]), 64))
+        with pytest.raises(DimensionMismatchError):
+            view.apply(np.ones(3))
+        with pytest.raises(DimensionMismatchError):
+            view.adjoint(np.ones(15))
 
 
 class TestGaussian:

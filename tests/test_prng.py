@@ -1,5 +1,8 @@
 """Pinned random pipeline: frozen outputs lock the algorithm in place."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -115,3 +118,46 @@ def test_sample_without_replacement_is_full_shuffle_prefix(n):
             got = prng.sample_without_replacement(seed, n, m)
             assert got.dtype == np.int64
             assert np.array_equal(got, np.sort(full[:m])), (seed, n, m)
+
+
+def fresh_philox_words(seed, count):
+    return np.random.Philox(key=int(seed) & (2**64 - 1)).random_raw(count)
+
+
+def test_raw_words_match_fresh_generator():
+    # mixed keys (small, wide, negative, past 64 bits) and counts around a
+    # Philox block of four words, interleaved so no draw starts fresh
+    keys = prng.raw_words(123, 2000).tolist() + list(range(-50, 50)) + [2**64 - 1, 2**70 + 5]
+    counts = (0, 1, 3, 4, 5, 1000)
+    checked = 0
+    for i, key in enumerate(keys):
+        for count in (counts[i % 6], counts[(i + 1) % 6], counts[(i * 7 + 2) % 6],
+                      counts[(i * 5 + 4) % 6], counts[(i + 3) % 6]):
+            got = prng.raw_words(key, count)
+            want = fresh_philox_words(key, count)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            checked += 1
+    assert checked >= 10_000
+
+
+def test_raw_words_from_two_threads():
+    keys = list(range(300))
+    want = [fresh_philox_words(k, 37).tobytes() for k in keys]
+    results = {}
+    barrier = threading.Barrier(2)
+
+    def draw(name):
+        barrier.wait()
+        results[name] = [[prng.raw_words(k, 37).tobytes() for k in keys] for _ in range(3)]
+
+    threads = [threading.Thread(target=draw, args=(name,)) for name in ("a", "b")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between draws, not once per run
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results["a"] == results["b"] == [want] * 3

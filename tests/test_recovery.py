@@ -109,6 +109,23 @@ class TestIterationInvariants:
         assert np.array_equal(follow.a, a)
         assert not follow.v.any()
 
+    @pytest.mark.parametrize("complex_op", [False, True])
+    def test_state_carries_the_prune_support(self, complex_op):
+        if complex_op:
+            op = cosamp.partial_fourier_operator(32, 128, seed=5)
+        else:
+            op = cosamp.gaussian_operator(32, 128, seed=5)
+        x = cosamp.make_sparse(128, 4, "exponential", alpha=0.5, position_seed=6, sign_seed=7)
+        u = op.apply(x) + 1e-3 * prng.normals(8, op.m)
+        config = RecoveryConfig(s=4)
+        state = initial_state(op, u, 4)
+        assert state.support is None  # unknown until a prune has run
+        for _ in range(6):
+            state = cosamp_iteration(state, op, u, config)
+            assert state.support == support_of(state.a)
+        report = recover(op, u, RecoveryConfig(s=4, halting=FixedIterations(6)))
+        assert report.support == support_of(report.approximation) == state.support
+
     def test_planted_error_sequence_converges(self):
         op = cosamp.gaussian_operator(32, 64, seed=3)
         x, _, u = planted_instance(op, 3, seed=41)
