@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
@@ -328,16 +329,11 @@ def sweep_cells(cfg: dict) -> list[dict]:
         raise ConfigError("sweep axes must be nonempty")
     if any(v is None for axis in (m_axis, s_axis, noise_axis) for v in axis):
         raise ConfigError("sweep axes need explicit values (m, s, noise_norm)")
-    cells = []
-    index = 0
-    for m in m_axis:
-        for s in s_axis:
-            for noise_norm in noise_axis:
-                cells.append(
-                    {"cell_index": index, "m": int(m), "s": int(s), "noise_norm": float(noise_norm)}
-                )
-                index += 1
-    return cells
+    grid = itertools.product(m_axis, s_axis, noise_axis)
+    return [
+        {"cell_index": index, "m": int(m), "s": int(s), "noise_norm": float(noise_norm)}
+        for index, (m, s, noise_norm) in enumerate(grid)
+    ]
 
 
 @dataclass(frozen=True)

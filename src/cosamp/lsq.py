@@ -13,6 +13,10 @@ Either way the right-hand side Phi_T* u and the final sample-space
 residual are real operator products.  The direct normal-equations solver
 is reference scaffolding: exact, but it forms the Gram matrix.
 
+Lengths are checked where data enters a view, not on each internal
+product: each solve checks the support, u and the warm start once, and the
+normal products on the solver's own iterates go unchecked.
+
 When ||Phi_T* Phi_T - I|| < 1, Richardson contracts by that norm per
 iteration; three warm-started iterations suffice for the recovery loop's
 guarantees, which is the default wiring.

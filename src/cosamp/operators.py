@@ -9,7 +9,9 @@ The solvers and the Gram builders see Phi_T through ``restricted(T)``, a
 view with ``apply``, ``adjoint``, ``normal``, ``columns`` and ``gram`` that
 runs on the operator's own ``apply_sub`` / ``adjoint_sub``.  Dense
 operators, unless a subclass overrides those, slice Phi_T once per view
-instead of once per product.
+instead of once per product.  Lengths are checked where data enters a
+view, not on each internal product: the sliced view's ``apply`` /
+``adjoint`` check theirs, its ``normal`` does not.
 
 An operator whose Gram matrix ``Phi* Phi`` has a closed form may also offer
 ``gram_sub(T)``, returning ``Phi_T* Phi_T`` without an operator product
@@ -117,7 +119,7 @@ class RestrictedView:
         cols = np.empty((op.m, len(T)), dtype=dtype)
         one = np.ones(1, dtype=dtype)
         for j in range(len(T)):
-            cols[:, j] = op.apply_sub(SupportSet(T.indices[j : j + 1], op.n), one)
+            cols[:, j] = op.apply_sub(SupportSet._trusted(T.indices[j : j + 1], op.n), one)
         return cols
 
     def gram(self) -> np.ndarray:
@@ -132,7 +134,8 @@ class RestrictedView:
 class _SlicedView(RestrictedView):
     """Dense Phi_T sliced once.  Each product is the BLAS call that
     ``apply_sub`` / ``adjoint_sub`` make on a fresh slice, so the results
-    are theirs bit for bit; the columns are the slice."""
+    are theirs bit for bit; the columns are the slice.  ``normal`` takes
+    the solver's own iterates, so unlike ``apply`` it checks no length."""
 
     def __init__(self, T: SupportSet, sub: np.ndarray):
         self.T, self.sub, self.sub_h, self._gram_sub = T, sub, sub.conj().T, None
@@ -142,6 +145,9 @@ class _SlicedView(RestrictedView):
 
     def adjoint(self, v) -> np.ndarray:
         return self.sub_h @ _check_length(v, self.sub.shape[0], "sample vector")
+
+    def normal(self, z) -> np.ndarray:
+        return self.sub_h @ (self.sub @ z)
 
     def columns(self) -> np.ndarray:
         return self.sub
@@ -161,9 +167,6 @@ class IdentityOperator(SamplingOperator):
 
     def adjoint(self, v) -> np.ndarray:
         return _check_length(v, self.m, "sample vector").copy()
-
-    def materialize(self) -> np.ndarray:
-        return np.eye(self.n)
 
 
 class DenseOperator(SamplingOperator):

@@ -26,7 +26,8 @@ import numpy as np
 
 from .lsq import LsqConfig, LsqResult, solve
 from .operators import SamplingOperator
-from .signals import SupportSet, as_samples, best_s_approx, embed, restrict, support_of
+from .signals import (SupportSet, _neg_abs, _select, as_samples, best_s_approx, embed, restrict,
+                      support_of)
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,14 @@ class RecoveryConfig:
             raise ValueError("s must be >= 1")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
+        if not isinstance(self.halting, HaltingRule) and iter(self.halting) is self.halting:
+            raise TypeError("halting must be a rule or a collection of rules, not an iterator")
+        for rule in self.rules():
+            if not isinstance(rule, HaltingRule):
+                raise TypeError(f"unknown halting rule {rule!r}")
 
     def rules(self) -> tuple[HaltingRule, ...]:
-        if isinstance(self.halting, (FixedIterations, SampleNorm, ProxyInfinityNorm)):
+        if isinstance(self.halting, HaltingRule):
             return (self.halting,)
         return tuple(self.halting)
 
@@ -152,8 +158,7 @@ def identify(y, width: int) -> SupportSet:
     Ties break lexicographically; exact zeros are never selected, so a zero
     proxy yields the empty set.
     """
-    _, supp = best_s_approx(np.asarray(y), width)
-    return supp
+    return SupportSet._trusted(_select(_neg_abs(y), width), np.size(y))
 
 
 def merge_support(omega: SupportSet, prev: SupportSet) -> SupportSet:
@@ -187,7 +192,7 @@ def check_halt(state: RecoveryState, rule: HaltingRule) -> bool:
     return _fires(rule, state.k, float(np.linalg.norm(state.v)), y_inf, state.s)
 
 
-def _merge(state: RecoveryState, y, omega: SupportSet, width: int) -> SupportSet:
+def _merge(state: RecoveryState, y_neg, omega: SupportSet, width: int) -> SupportSet:
     """Standard merge: Omega united with the current approximation's support."""
     return merge_support(omega, _support(state))
 
@@ -203,36 +208,41 @@ def _estimate(
     return embed(result.coefficients, T), result
 
 
+def _lap(times: dict[str, float], step: str, start: int) -> int:
+    """Record ``step``'s microseconds since ``start`` (ns); now starts the next step."""
+    now = time.perf_counter_ns()
+    times[step] = (now - start) / 1000.0
+    return now
+
+
 def _iterate(
     state: RecoveryState,
     y: np.ndarray,
+    y_neg: np.ndarray,
     op: SamplingOperator,
     u: np.ndarray,
     config: RecoveryConfig,
-    widths: tuple[int, int],
     merge,
     estimate,
     times: dict[str, float],
-) -> RecoveryState:
-    """Identify, merge, estimate, prune and update from the proxy ``y``.
+) -> tuple[RecoveryState, float]:
+    """Identify, merge, estimate, prune and update from the proxy ``y`` and
+    ``y_neg`` = -|y|, for a validated ``u``; returns the new state and
+    ||v||_2.
 
-    ``merge(state, y, omega, prune_width)`` returns the estimation support T
-    and ``estimate(op, u, state, omega, T, config)`` returns the pre-prune
+    ``merge(state, y_neg, omega, prune_width)`` returns the estimation
+    support T and ``estimate(op, u, state, omega, T, config)`` the pre-prune
     estimate b with its solver result; they are the only steps in which the
-    loop variants differ.  Each step's wall time in microseconds goes into
-    ``times``.  A solver ``LinAlgError`` or a non-finite estimate raises
+    loop variants differ.  Step times in microseconds go into ``times``.  A
+    solver ``LinAlgError`` or a non-finite estimate raises
     :class:`SolverFailure` with the index of the iteration.
     """
-    identify_width, prune_width = widths
+    identify_width, prune_width = config.widths(op.n)
     tick = time.perf_counter_ns()
-    omega = identify(y, identify_width)
-    times["identify"] = (time.perf_counter_ns() - tick) / 1000.0
-
-    tick = time.perf_counter_ns()
-    T = merge(state, y, omega, prune_width)
-    times["merge"] = (time.perf_counter_ns() - tick) / 1000.0
-
-    tick = time.perf_counter_ns()
+    omega = SupportSet._trusted(_select(y_neg, identify_width), op.n)
+    tick = _lap(times, "identify", tick)
+    T = merge(state, y_neg, omega, prune_width)
+    tick = _lap(times, "merge", tick)
     try:
         b, lsq_result = estimate(op, u, state, omega, T, config)
     except np.linalg.LinAlgError as exc:
@@ -241,16 +251,12 @@ def _iterate(
         raise SolverFailure(
             state.k + 1, FloatingPointError("estimate has non-finite coefficients")
         )
-    times["estimate"] = (time.perf_counter_ns() - tick) / 1000.0
-
-    tick = time.perf_counter_ns()
+    tick = _lap(times, "estimate", tick)
     a_next, support = best_s_approx(b, prune_width)
-    times["prune"] = (time.perf_counter_ns() - tick) / 1000.0
-
-    tick = time.perf_counter_ns()
+    tick = _lap(times, "prune", tick)
     v_next = u - op.apply(a_next)
-    times["update"] = (time.perf_counter_ns() - tick) / 1000.0
-
+    v_norm = float(np.linalg.norm(v_next))
+    _lap(times, "update", tick)
     return RecoveryState(
         k=state.k + 1,
         s=state.s,
@@ -263,7 +269,7 @@ def _iterate(
         b=b,
         lsq_result=lsq_result,
         support=support,
-    )
+    ), v_norm
 
 
 def cosamp_iteration(
@@ -277,7 +283,7 @@ def cosamp_iteration(
     """
     u = as_samples(u, op.m)
     y = op.adjoint(state.v)
-    return _iterate(state, y, op, u, config, config.widths(op.n), _merge, _estimate, {})
+    return _iterate(state, y, _neg_abs(y), op, u, config, _merge, _estimate, {})[0]
 
 
 @dataclass(frozen=True)
@@ -403,7 +409,6 @@ def _drive(
     sample_rules = [r for r in rules if isinstance(r, SampleNorm)]
     fixed_rules = [r for r in rules if isinstance(r, FixedIterations)]
     max_iters = config.effective_max_iterations()
-    widths = config.widths(op.n)
 
     state = initial_state(op, u, config.s)
     x = None if truth is None else np.asarray(truth)
@@ -427,14 +432,14 @@ def _drive(
         times: dict[str, float] = {}
         tick = time.perf_counter_ns()
         y = op.adjoint(state.v)
-        times["proxy"] = (time.perf_counter_ns() - tick) / 1000.0
-        y_inf = _inf_norm(y)
+        y_neg = _neg_abs(y)  # the one |y| pass: ||y||_inf, the identify step, prune-first
+        y_inf = float(-y_neg.min()) if y_neg.size else 0.0
+        _lap(times, "proxy", tick)
         if any(_fires(r, state.k, v_norm, y_inf, config.s) for r in proxy_rules):
             halt_reason = "proxy_infinity_norm"
             break
 
-        state = _iterate(state, y, op, u, config, widths, merge, estimate, times)
-        v_norm = float(np.linalg.norm(state.v))
+        state, v_norm = _iterate(state, y, y_neg, op, u, config, merge, estimate, times)
         if state.lsq_result is not None and state.lsq_result.diverged:
             diverged.append(state.k)
 

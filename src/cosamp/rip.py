@@ -25,6 +25,7 @@ import numpy as np
 
 from . import prng
 from .operators import SamplingOperator, gram_matrix
+from .recovery import StepBound
 from .signals import SupportSet, norms, restrict, support_of
 
 _CHUNK = 50_000
@@ -197,19 +198,10 @@ def rip_estimate(
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class ConsequenceCheck:
-    name: str
-    lhs: float
-    rhs: float
+class ConsequenceCheck(StepBound):
+    """One consequence inequality lhs <= rhs; ``passed`` is ``holds``."""
 
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs + 1e-12 * max(1.0, abs(self.rhs))
+    passed = StepBound.holds
 
 
 @dataclass(frozen=True)
@@ -300,10 +292,10 @@ def check_rip_consequences(
 
     if "cross_correlation" in include:
         # ||Phi_T* Phi x|_{T^c}|| <= delta_r' ||x|_{T^c}|| with r' >= |T u supp(x)|
-        x_sparse, _ = _sparsify_for_cross(x, support, r)
-        tail = restrict(x_sparse, support.complement())
+        # x on the first r indices off T only, so |T u supp| <= 2r stays checkable
+        tail = restrict(x, SupportSet(support.complement().indices[:r], n))
         lhs = float(np.linalg.norm(mat[:, support.indices].conj().T @ (mat @ tail)))
-        r_union = len(support.union(support_of(x_sparse)))
+        r_union = len(support.union(support_of(tail)))
         checks.append(
             ConsequenceCheck(
                 "cross_correlation", lhs, delta(max(r_union, 1)) * float(np.linalg.norm(tail))
@@ -325,12 +317,3 @@ def check_rip_consequences(
         )
 
     return RipConsequenceReport(tuple(checks), deltas)
-
-
-def _sparsify_for_cross(x: np.ndarray, T: SupportSet, r: int) -> tuple[np.ndarray, SupportSet]:
-    """Trim x so |T union supp(x)| stays exhaustively checkable (size <= 2r)."""
-    keep = np.concatenate([T.indices, T.complement().indices[:r]])
-    mask = np.zeros(x.size, dtype=bool)
-    mask[keep] = True
-    out = np.where(mask, x, 0)
-    return out, SupportSet(np.sort(keep).astype(np.int64), x.size)

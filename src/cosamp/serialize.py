@@ -39,13 +39,8 @@ def write_signal(path, x) -> None:
         fh.write(SIGNAL_MAGIC)
         fh.write(struct.pack("<I", x.size))
         fh.write(struct.pack("<B", _KIND_COMPLEX if complex_kind else _KIND_REAL))
-        if complex_kind:
-            interleaved = np.empty(2 * x.size)
-            interleaved[0::2] = x.real
-            interleaved[1::2] = x.imag
-            fh.write(interleaved.astype("<f8").tobytes())
-        else:
-            fh.write(x.astype("<f8").tobytes())
+        # a little-endian complex128 is its (re, im) pair of little-endian f8
+        fh.write(x.astype("<c16" if complex_kind else "<f8").tobytes())
 
 
 def read_signal(path) -> np.ndarray:
@@ -72,14 +67,10 @@ def write_matrix(path, matrix) -> None:
     if mat.ndim != 2:
         raise ValueError("matrices are 2-D")
     m, n = mat.shape
-    mat = mat.astype(np.complex128, copy=False)
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<II", m, n))
-        interleaved = np.empty(2 * m * n)
-        interleaved[0::2] = mat.real.ravel()
-        interleaved[1::2] = mat.imag.ravel()
-        fh.write(interleaved.astype("<f8").tobytes())
+        fh.write(mat.astype("<c16").tobytes())
 
 
 def read_matrix(path) -> np.ndarray:

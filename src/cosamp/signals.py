@@ -3,6 +3,12 @@
 Signals live in C^N (or R^N on the real fast path) as plain 1-D numpy
 arrays; index sets are :class:`SupportSet` instances carrying their ambient
 dimension.  All indexing is 0-based.
+
+Validation happens at the public constructors: ``as_signal``, ``as_samples``,
+``SupportSet(indices, n)`` and ``SupportSet.from_any`` copy and check what
+they are given.  Supports the package computes itself (the selection, exact
+supports, unions, complements) are strictly increasing int64 arrays by
+construction, so they are wrapped as they are, read-only and unchecked.
 """
 
 from __future__ import annotations
@@ -64,12 +70,20 @@ class SupportSet:
         object.__setattr__(self, "indices", idx)
 
     @classmethod
+    def _trusted(cls, indices: np.ndarray, n: int) -> "SupportSet":
+        """Wrap int64 indices increasing and in [0, n) by construction: no copy, no check."""
+        indices.flags.writeable = False
+        supp = object.__new__(cls)
+        supp.__dict__.update(indices=indices, n=n)  # past the frozen __setattr__
+        return supp
+
+    @classmethod
     def empty(cls, n: int) -> "SupportSet":
-        return cls(np.empty(0, dtype=np.int64), n)
+        return cls._trusted(np.empty(0, dtype=np.int64), n)
 
     @classmethod
     def full(cls, n: int) -> "SupportSet":
-        return cls(np.arange(n, dtype=np.int64), n)
+        return cls._trusted(np.arange(n, dtype=np.int64), n)
 
     @classmethod
     def from_any(cls, indices, n: int) -> "SupportSet":
@@ -91,18 +105,18 @@ class SupportSet:
     def union(self, other: "SupportSet") -> "SupportSet":
         if self.n != other.n:
             raise ValueError("ambient dimensions differ")
-        return SupportSet(np.union1d(self.indices, other.indices), self.n)
+        return SupportSet._trusted(np.union1d(self.indices, other.indices), self.n)
 
     def complement(self) -> "SupportSet":
         mask = np.ones(self.n, dtype=bool)
         mask[self.indices] = False
-        return SupportSet(np.flatnonzero(mask).astype(np.int64), self.n)
+        return SupportSet._trusted(np.flatnonzero(mask), self.n)
 
 
 def support_of(x: np.ndarray) -> SupportSet:
     """Exact nonzero support of ``x``."""
     x = np.asarray(x)
-    return SupportSet(np.flatnonzero(x != 0).astype(np.int64), x.size)
+    return SupportSet._trusted(np.flatnonzero(x != 0), x.size)
 
 
 def best_s_approx(x, s: int) -> tuple[np.ndarray, SupportSet]:
@@ -114,17 +128,25 @@ def best_s_approx(x, s: int) -> tuple[np.ndarray, SupportSet]:
     minimizes ``||x - z||_p`` over s-sparse ``z`` for every p.
     """
     x = np.asarray(x)
-    n = x.size
+    supp = SupportSet._trusted(_select(_neg_abs(x), s), x.size)
+    return restrict(x, supp), supp
+
+
+def _neg_abs(x) -> np.ndarray:
+    """-|x| in one new array: ascending order is descending magnitude, NaN last."""
+    neg = np.abs(x)
+    return np.negative(neg, out=neg)
+
+
+def _select(neg: np.ndarray, s: int) -> np.ndarray:
+    """Sorted int64 indices of x's best s-term support, given ``neg`` = -|x|."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     if s == 0:
-        return np.zeros_like(x), SupportSet.empty(n)
-    # -|x|: ascending order is descending magnitude, with NaN last
-    neg = np.abs(x)
-    np.negative(neg, out=neg)
+        return np.empty(0, dtype=np.int64)
     # Linear-time selection rather than a stable sort: every entry above the
     # s-th largest magnitude, then the lowest-index entries tied at it.
-    threshold = np.partition(neg, s - 1)[s - 1] if s < n else np.nan
+    threshold = np.partition(neg, s - 1)[s - 1] if s < neg.size else np.nan
     if np.isnan(threshold):
         # at most s entries are not NaN, and every nonzero one makes the cut
         chosen = np.flatnonzero(neg < 0)
@@ -137,10 +159,7 @@ def best_s_approx(x, s: int) -> tuple[np.ndarray, SupportSet]:
             chosen = chosen[above]
         if threshold == 0:  # exact zeros made the cut; they are never selected
             chosen = chosen[neg[chosen] < 0]
-    supp = SupportSet(chosen, n)
-    out = np.zeros_like(x)
-    out[supp.indices] = x[supp.indices]
-    return out, supp
+    return chosen
 
 
 def restrict(x, T: SupportSet) -> np.ndarray:

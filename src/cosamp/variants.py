@@ -15,7 +15,7 @@ from .lsq import direct_solve, solve
 from .operators import SamplingOperator
 from .recovery import (RecoveryConfig, RecoveryReport, _drive, _estimate, _merge, _support,
                        merge_support)
-from .signals import SupportSet, best_s_approx, embed, support_of
+from .signals import SupportSet, _select, embed, support_of
 
 
 def recover_residual_variant(
@@ -67,15 +67,14 @@ def recover_prune_first_variant(
     return _drive(op, u, config, truth, noise, _surrogate_prune, _estimate)
 
 
-def _surrogate_prune(state, y: np.ndarray, omega: SupportSet, width: int) -> SupportSet:
+def _surrogate_prune(state, y_neg: np.ndarray, omega: SupportSet, width: int) -> SupportSet:
     prev = _support(state)
     merged = merge_support(omega, prev)
     if len(merged) <= width:
         return merged
-    keys = np.zeros(merged.n)
-    keys[prev.indices] = np.abs(state.a[prev.indices])
-    new_only = np.setdiff1d(omega.indices, prev.indices, assume_unique=True)
-    keys[new_only] = np.abs(y[new_only])
-    # every merged key is positive and every other key is 0, so the selection
+    keys = np.zeros(merged.n)  # negated ranking keys, as _select takes them
+    keys[omega.indices] = y_neg[omega.indices]
+    keys[prev.indices] = -np.abs(state.a[prev.indices])  # |a_i| wins where both hold i
+    # every merged key is negative and every other key is 0, so the selection
     # stays inside the merged set; ties go to the lowest index
-    return best_s_approx(keys, width)[1]
+    return SupportSet._trusted(_select(keys, width), merged.n)

@@ -250,6 +250,41 @@ class TestDirect:
         assert excinfo.value.smallest_eigenvalue <= 1e-12
 
 
+class TestInputChecks:
+    """Each solve checks its support, samples and warm start where they enter."""
+
+    CASES = [
+        ("dense", gaussian_operator(16, 32, seed=2)),
+        ("partial_fourier", partial_fourier_operator(16, 32, seed=3)),
+    ]
+
+    @pytest.mark.parametrize("solver", ["cg", "richardson", "direct"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_wrong_sample_length(self, case, solver):
+        _, op = case
+        T = SupportSet(np.array([1, 5, 9]), op.n)
+        for m in (op.m - 1, op.m + 1):
+            with pytest.raises(ValueError):
+                solve(op, T, np.ones(m), None, LsqConfig(solver=solver))
+
+    @pytest.mark.parametrize("solver", [cg_solve, richardson_solve])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_wrong_warm_start_length(self, case, solver):
+        _, op = case
+        T = SupportSet(np.array([1, 5, 9]), op.n)
+        for size in (2, 4):
+            with pytest.raises(ValueError):
+                solver(op, T, np.ones(op.m), np.ones(size))
+
+    @pytest.mark.parametrize("solver", ["cg", "richardson", "direct"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_support_of_other_dimension(self, case, solver):
+        _, op = case
+        T = SupportSet(np.array([1, 5, 9]), op.n + 1)
+        with pytest.raises(ValueError):
+            solve(op, T, np.ones(op.m), None, LsqConfig(solver=solver))
+
+
 class TestDispatch:
     def test_solver_names(self):
         op = gated_operator(16, seed=23)  # contraction certain: every delta < 0.1

@@ -237,6 +237,21 @@ class TestRestrictedView:
             with pytest.raises(DimensionMismatchError):
                 op.restricted(SupportSet(np.array([0, 3]), op.n + 1))
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_dense_normal_is_adjoint_of_apply(self, complex_valued):
+        # the sliced view's normal product skips the length checks, not the arithmetic
+        mat = prng.normals(49, 24 * 80).reshape(24, 80)
+        if complex_valued:
+            mat = mat + 1j * prng.normals(50, 24 * 80).reshape(24, 80)
+        op = dense_operator(mat)
+        for size in (1, 5, 24, 80):
+            T = SupportSet(prng.sample_without_replacement(size + 51, 80, size), 80)
+            view = op.restricted(T)
+            assert type(view).__name__ == "_SlicedView"
+            for seed in range(3):
+                z = random_signal(52 + seed, size, complex_valued=complex_valued)
+                assert np.array_equal(view.normal(z), view.adjoint(view.apply(z)))
+
     def test_dense_view_checks_lengths(self):
         view = gaussian_operator(16, 64, seed=48).restricted(SupportSet(np.array([1, 8]), 64))
         with pytest.raises(DimensionMismatchError):

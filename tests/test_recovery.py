@@ -331,6 +331,24 @@ class TestHaltingRules:
         assert report.halt_reason == "sample_norm"
         assert report.iterations_run < 40
 
+    @pytest.mark.parametrize(
+        "halting",
+        [
+            [{"kind": "sample_norm", "epsilon": 1e-9}],
+            "sample_norm",  # would iterate as a tuple of characters
+            [SampleNorm(1e-9), None],
+        ],
+        ids=["dict", "string", "none_entry"],
+    )
+    def test_unknown_rule_rejected(self, halting):
+        with pytest.raises(TypeError, match="unknown halting rule"):
+            RecoveryConfig(s=3, halting=halting)
+
+    def test_one_shot_iterator_rejected(self):
+        # validating would use up the rules, and the loop would then run without them
+        with pytest.raises(TypeError, match="iterator"):
+            RecoveryConfig(s=3, halting=(r for r in [SampleNorm(1e-9)]))
+
 
 class TestDiagnostics:
     def test_identity_instance_all_hold_with_slack(self):
@@ -413,3 +431,108 @@ class TestOneEngine:
         state = initial_state(op, u, 2)
         with pytest.raises(ValueError, match="sample vector contains non-finite"):
             cosamp_iteration(state, op, u, RecoveryConfig(s=2))
+
+
+class TestFrozenOutputs:
+    """Three seeded recoveries pinned by ``float.hex``: the support, the
+    approximation's nonzero entries (real, imaginary) and, per iteration,
+    ``v_norm``, ``y_inf``, ``err_l2`` and ``err_linf``."""
+
+    FROZEN = {
+        "gaussian": {
+            "support": [13, 35, 73, 86],
+            "entries": [
+                "-0x1.ffdde41548db8p-1", "-0x1.fe3473f80a1afp-1",
+                "0x1.0005e0c697648p+0", "-0x1.000fd86c44fb9p+0",
+            ],
+            "trace": [
+                ("0x1.5d860a870c625p-4", "0x1.6acf7f77be6a1p+0",
+                 "0x1.d10139d9c33cep-4", "0x1.69726edb21260p-4"),
+                ("0x1.58c8bbc5c509ap-7", "0x1.7acdd54464cb2p-5",
+                 "0x1.5892bd04894fbp-7", "0x1.4ef26e46c4600p-7"),
+                ("0x1.f76ac018d5c57p-8", "0x1.807ba92e0a34fp-8",
+                 "0x1.ce0c928fa5714p-9", "0x1.cb8c07f5e5100p-9"),
+            ],
+        },
+        "complex_dense": {
+            "support": [60, 61, 78, 123],
+            "entries": [
+                ("0x1.269e98a8aebaep-3", "0x1.621a776bcc95bp+0"),
+                ("0x1.1fdf958ff5c10p+0", "0x1.3e770d7e8bcdcp+0"),
+                ("0x1.64bcacd542874p-3", "-0x1.45f7c0eb907c3p-2"),
+                ("-0x1.67333014a0a34p-2", "0x1.e4385ef702458p-4"),
+            ],
+            "trace": [
+                ("0x1.b5215665c82fcp-3", "0x1.c27d6b912ca84p+0",
+                 "0x1.9da4318b5f3b9p-3", "0x1.176875057b300p-3"),
+                ("0x1.cd9e107735376p-6", "0x1.28450b340488dp-3",
+                 "0x1.b2d90f211e62cp-6", "0x1.1db3e3eee6de2p-6"),
+                ("0x1.1aef4b283b9d7p-8", "0x1.3a72a6bddf6dbp-6",
+                 "0x1.061ee17755d08p-8", "0x1.721b38082bb4dp-9"),
+            ],
+        },
+        "partial_fourier": {
+            "support": [54, 83, 108, 112, 126],
+            "entries": [
+                ("0x1.0048d32932946p+0", "0x1.936f301b91bdcp-10"),
+                ("0x1.0010de3bb7ddcp+0", "0x1.33da7bb36e133p-12"),
+                ("0x1.00265422a32b4p+0", "-0x1.38f9800a0b459p-10"),
+                ("-0x1.0005a1be7b5e7p+0", "-0x1.19758634aca77p-15"),
+                ("0x1.ff7e85c8ed007p-1", "0x1.125e9ce287e40p-12"),
+            ],
+            "trace": [
+                ("0x1.c202e05290295p-8", "0x1.49ae09896958bp+0",
+                 "0x1.02fccf12030a1p-9", "0x1.74719b4f16bafp-10"),
+                ("0x1.c73c0e4eee6a0p-8", "0x1.1f8b5e30d31f9p-9",
+                 "0x1.2ee9ea63d1bdcp-9", "0x1.bc42e9ca37a2ap-10"),
+                ("0x1.ca1c79867e54ep-8", "0x1.2249f7ff21b57p-9",
+                 "0x1.501dbcd7b9ca4p-9", "0x1.f19bdf258c718p-10"),
+            ],
+        },
+    }
+
+    @staticmethod
+    def instance(name):
+        if name == "gaussian":
+            op = cosamp.gaussian_operator(64, 128, seed=71)
+            x = cosamp.make_sparse(128, 4, "flat", position_seed=72, sign_seed=73)
+            e = 1e-3 * prng.normals(74, 64)
+            return op, x, e, RecoveryConfig(
+                s=4, halting=[SampleNorm(1e-9), FixedIterations(3)], lsq=LsqConfig(solver="cg")
+            )
+        if name == "complex_dense":
+            mat = prng.complex_normals(81, 96 * 128).reshape(96, 128) / np.sqrt(96)
+            T = SupportSet.from_any(prng.sample_without_replacement(83, 128, 4), 128)
+            x = cosamp.embed(prng.complex_normals(82, 4), T)
+            return cosamp.dense_operator(mat), x, None, RecoveryConfig(
+                s=4,
+                halting=[ProxyInfinityNorm(1e-9), FixedIterations(3)],
+                lsq=LsqConfig(solver="richardson"),
+            )
+        op = cosamp.partial_fourier_operator(48, 128, seed=91)
+        x = cosamp.make_sparse(128, 5, "flat", position_seed=92, sign_seed=93)
+        e = 1e-3 * prng.complex_normals(94, 48)
+        return op, x, e, RecoveryConfig(
+            s=5, halting=FixedIterations(3), lsq=LsqConfig(solver="direct")
+        )
+
+    @pytest.mark.parametrize("name", ["gaussian", "complex_dense", "partial_fourier"])
+    def test_bits_unchanged(self, name):
+        op, x, e, cfg = self.instance(name)
+        u = op.apply(x) if e is None else op.apply(x) + e
+        report = recover(op, u, cfg, truth=x, noise=e)
+        want = self.FROZEN[name]
+        a = report.approximation
+        assert (report.halt_reason, report.iterations_run) == ("fixed_iterations", 3)
+        assert report.support.indices.tolist() == want["support"]
+        assert support_of(a) == report.support
+        if np.iscomplexobj(a):
+            got = [(float(a[i].real).hex(), float(a[i].imag).hex()) for i in want["support"]]
+        else:
+            got = [float(a[i]).hex() for i in want["support"]]
+        assert got == want["entries"]
+        rows = [
+            tuple(float(v).hex() for v in (row.v_norm, row.y_inf, row.err_l2, row.err_linf))
+            for row in report.trace
+        ]
+        assert rows == want["trace"]

@@ -212,6 +212,24 @@ class TestSupportSet:
         with pytest.raises(ValueError):
             SupportSet(np.array([4]), 4)
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            SupportSet(np.array([-1, 2]), 4)
+
+    def test_rejects_unsorted(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SupportSet(np.array([2, 1]), 4)
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            SupportSet(np.array([[0, 1], [2, 3]]), 4)
+
+    def test_constructor_copies(self):
+        idx = np.array([0, 2])
+        T = SupportSet(idx, 4)
+        idx[0] = 3
+        assert list(T) == [0, 2] and not T.indices.flags.writeable
+
     def test_union_and_complement(self):
         a = SupportSet(np.array([1, 5]), 10)
         b = SupportSet(np.array([2, 5, 9]), 10)
@@ -226,3 +244,58 @@ class TestSupportSet:
         x = embed(np.array([1.5, -2.5]), T)
         assert np.array_equal(x, [1.5, 0.0, -2.5, 0.0])
         assert support_of(x) == T
+
+
+def assert_trusted(T, n):
+    """``T`` is what the validating constructor makes of its own indices."""
+    assert T.indices.dtype == np.int64 and T.indices.ndim == 1
+    assert not T.indices.flags.writeable
+    assert T.n == n
+    assert T == SupportSet(T.indices, n)
+
+
+vectors = st.lists(
+    st.one_of(
+        # a small alphabet, so that ties and exact zeros are common
+        st.sampled_from([0.0, 1.0, -1.0, 2.0, 1j, -2j, 1 + 1j, float("nan")]),
+        st.complex_numbers(max_magnitude=4, allow_infinity=False),
+    ),
+    max_size=24,
+)
+
+
+class TestTrustedSupports:
+    """Supports the package computes skip the constructor's checks; they
+    must still be what the checked constructor would accept."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(vectors, st.booleans(), st.integers(0, 30))
+    def test_computed_supports_are_valid(self, entries, real, s):
+        from cosamp.recovery import identify
+
+        x = np.array(entries, dtype=np.complex128)
+        if real:
+            x = x.real.copy()
+        n = x.size
+        for width in (s, 0, n):
+            _, supp = best_s_approx(x, width)
+            assert_trusted(supp, n)
+            assert_trusted(identify(x, width), n)
+            assert identify(x, width) == supp
+        exact = support_of(x)
+        assert_trusted(exact, n)
+        assert_trusted(supp.union(exact), n)
+        want = np.union1d(supp.indices, exact.indices)
+        assert np.array_equal(supp.union(exact).indices, want)
+        assert_trusted(exact.complement(), n)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_empty_and_full(self, n):
+        assert_trusted(SupportSet.empty(n), n)
+        assert_trusted(SupportSet.full(n), n)
+        assert len(SupportSet.empty(n)) == 0 and list(SupportSet.full(n)) == list(range(n))
+
+    def test_union_of_empty_sides(self):
+        a, e = SupportSet(np.array([1, 4]), 6), SupportSet.empty(6)
+        assert a.union(e) == a and e.union(a) == a and e.union(e) == e
+        assert_trusted(e.union(e), 6)
