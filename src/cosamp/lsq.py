@@ -9,9 +9,11 @@ matrix-vector multiply; otherwise it is one multiply each with Phi_T and
 Phi_T*, so the solvers compose with any matrix-free operator.  A dense
 operator's view slices Phi_T once, and its products are BLAS calls on that
 slice; forming its Gram would cost more than the few iterations it serves.
-Either way the right-hand side Phi_T* u and the final sample-space
-residual are real operator products.  The direct normal-equations solver
-is reference scaffolding: exact, but it forms the Gram matrix.
+The right-hand side Phi_T* u is one product, or none when the Gram has a
+closed form and the caller passes its ``proxy`` Phi* u; the residual
+||u - Phi_T z||_2 waits for its first read, except in Richardson, whose
+divergence flag needs it.  The direct normal-equations solver is
+reference scaffolding: exact, but it forms the Gram matrix.
 
 Lengths are checked where data enters a view, not on each internal
 product: each solve checks the support, u and the warm start once, and the
@@ -24,11 +26,13 @@ guarantees, which is the default wiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .operators import RestrictedView, SamplingOperator
+from .operators import SamplingOperator
 from .signals import SupportSet
 
 _DIVERGENCE_FACTOR = 10.0
@@ -64,15 +68,24 @@ class LsqConfig:
 
 @dataclass(frozen=True)
 class LsqResult:
+    """``residual`` is ||u - Phi_T z||_2, or a function computing it from the solve's u
+    and z, both frozen, that ``residual_samples_norm`` calls on first read."""
+
     coefficients: np.ndarray  # length |T|
     iterations_used: int
-    residual_samples_norm: float
+    residual: float | Callable[[], float] = field(repr=False, compare=False)
     diverged: bool = False
 
+    @functools.cached_property
+    def residual_samples_norm(self) -> float:
+        return self.residual() if callable(self.residual) else self.residual
 
-def _result(view: RestrictedView, u, z, iterations) -> LsqResult:
-    residual = u - view.apply(z)
-    return LsqResult(z, iterations, float(np.linalg.norm(residual)), False)
+
+def _result(op: SamplingOperator, T: SupportSet, u, z, iterations) -> LsqResult:
+    if not isinstance(u, np.ndarray) or u.flags.writeable or not u.flags.owndata:
+        u = np.array(u)  # a read-only array that owns its data needs no copy
+    z.flags.writeable = False
+    return LsqResult(z, iterations, lambda: float(np.linalg.norm(u - op.apply_sub(T, z))))
 
 
 def _prepare(op: SamplingOperator, T: SupportSet, u, z0) -> np.ndarray:
@@ -91,7 +104,7 @@ def _prepare(op: SamplingOperator, T: SupportSet, u, z0) -> np.ndarray:
 
 
 def richardson_solve(
-    op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3
+    op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3, proxy=None
 ) -> LsqResult:
     """Richardson iterates z <- Phi_T* u - (Phi_T* Phi_T - I) z.
 
@@ -101,7 +114,7 @@ def richardson_solve(
     """
     z = _prepare(op, T, u, z0)
     view = op.restricted(T)
-    atu = view.adjoint(u)
+    atu = view.rhs(u, proxy)
     initial_residual = float(np.linalg.norm(u - view.apply(z)))
     for _ in range(iterations):
         z = atu - view.normal(z) + z
@@ -111,7 +124,7 @@ def richardson_solve(
 
 
 def cg_solve(
-    op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3
+    op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3, proxy=None
 ) -> LsqResult:
     """Conjugate gradient on the normal equations Phi_T* Phi_T z = Phi_T* u.
 
@@ -121,7 +134,7 @@ def cg_solve(
     """
     z = _prepare(op, T, u, z0)
     view = op.restricted(T)
-    atu = view.adjoint(u)
+    atu = view.rhs(u, proxy)
     resid = atu - view.normal(z)
     direction = resid.copy()
     rho = float(np.vdot(resid, resid).real)
@@ -140,10 +153,10 @@ def cg_solve(
         direction = resid + (rho_next / rho) * direction
         rho = rho_next
         used += 1
-    return _result(view, u, z, used)
+    return _result(op, T, u, z, used)
 
 
-def direct_solve(op: SamplingOperator, T: SupportSet, u) -> LsqResult:
+def direct_solve(op: SamplingOperator, T: SupportSet, u, proxy=None) -> LsqResult:
     """Exact pseudoinverse solve (Phi_T* Phi_T)^{-1} Phi_T* u.
 
     Reference oracle only: forms and factors the view's Gram (see
@@ -157,14 +170,14 @@ def direct_solve(op: SamplingOperator, T: SupportSet, u) -> LsqResult:
     smallest = float(np.linalg.eigvalsh(gram)[0])
     if smallest <= 1e-12:
         raise RankDeficiencyError(smallest)
-    z = np.linalg.solve(gram, view.adjoint(u))
-    return _result(view, u, z, 1)
+    z = np.linalg.solve(gram, view.rhs(u, proxy))
+    return _result(op, T, u, z, 1)
 
 
-def solve(op: SamplingOperator, T: SupportSet, u, z0, config: LsqConfig) -> LsqResult:
+def solve(op: SamplingOperator, T: SupportSet, u, z0, config: LsqConfig, proxy=None) -> LsqResult:
     """Dispatch to the configured solver (z0 ignored by the direct path)."""
     if config.solver == "richardson":
-        return richardson_solve(op, T, u, z0, config.iterations)
+        return richardson_solve(op, T, u, z0, config.iterations, proxy)
     if config.solver == "cg":
-        return cg_solve(op, T, u, z0, config.iterations)
-    return direct_solve(op, T, u)
+        return cg_solve(op, T, u, z0, config.iterations, proxy)
+    return direct_solve(op, T, u, proxy)

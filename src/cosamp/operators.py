@@ -17,7 +17,9 @@ An operator whose Gram matrix ``Phi* Phi`` has a closed form may also offer
 ``gram_sub(T)``, returning ``Phi_T* Phi_T`` without an operator product
 (partial Fourier does).  It is deliberately not declared on the base class:
 the view looks it up as an attribute, so delegating wrappers that forward
-unknown attributes to the operator they wrap reach it too.
+unknown attributes to the operator they wrap reach it too.  Its view reads
+Phi_T* u off the loop's proxy Phi* u when given it (``rhs``), with no
+product; that is the base ``adjoint_sub``, Phi* u restricted to T, bit for bit.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class RestrictedView:
     array, column j being ``apply_sub`` of a one on the single index t_j,
     which touches one column rather than |T|.  ``gram()`` is Phi_T* Phi_T of
     the columns, unless the operator offers ``gram_sub``: then it is that
-    closed form, formed once per view, and ``normal`` multiplies by it.
+    closed form, formed once per view, ``normal`` multiplies by it, and
+    ``rhs`` takes Phi_T* u from a proxy Phi* u when it is given one.
     """
 
     def __init__(self, op: SamplingOperator, T: SupportSet):
@@ -112,6 +115,10 @@ class RestrictedView:
 
     def normal(self, z) -> np.ndarray:
         return self.adjoint(self.apply(z)) if self._gram_sub is None else self.gram() @ z
+
+    def rhs(self, u, proxy=None) -> np.ndarray:
+        """Phi_T* u, read off a given ``proxy`` = Phi* u if the Gram has a closed form."""
+        return self.adjoint(u) if proxy is None or self._gram_sub is None else proxy[self.T.indices]
 
     def columns(self) -> np.ndarray:
         op, T = self.op, self.T

@@ -138,18 +138,8 @@ def _support(state: RecoveryState) -> SupportSet:
 def initial_state(op: SamplingOperator, u, s: int) -> RecoveryState:
     u = np.asarray(u)
     dtype = np.complex128 if (op.is_complex or np.iscomplexobj(u)) else np.float64
-    zero = np.zeros(op.n, dtype=dtype)
-    return RecoveryState(
-        k=0,
-        s=s,
-        a=zero,
-        a_prev=zero.copy(),
-        v=u.astype(dtype, copy=True),
-        y=None,
-        omega=SupportSet.empty(op.n),
-        T=SupportSet.empty(op.n),
-        b=None,
-    )
+    zero, empty = np.zeros(op.n, dtype=dtype), SupportSet.empty(op.n)
+    return RecoveryState(0, s, zero, np.zeros(op.n, dtype), u.astype(dtype), None, empty, empty, None)
 
 
 def identify(y, width: int) -> SupportSet:
@@ -170,16 +160,16 @@ def _inf_norm(y: np.ndarray) -> float:
     return float(np.abs(y).max()) if y.size else 0.0
 
 
-def _fires(rule: HaltingRule, k: int, v_norm: float, y_inf: float | None, s: int) -> bool:
-    """Whether ``rule`` fires after k iterations, given ||v||_2 and the
-    proxy's ||y||_inf (``None`` before the first proxy)."""
-    if isinstance(rule, FixedIterations):
-        return k >= rule.count
-    if isinstance(rule, SampleNorm):
-        return v_norm <= rule.epsilon
-    if isinstance(rule, ProxyInfinityNorm):
-        return y_inf is not None and y_inf <= rule.eta / np.sqrt(2.0 * s)
-    raise TypeError(f"unknown halting rule {rule!r}")
+def _limits(rules, s: int) -> tuple[float, float, float]:
+    """(epsilon, count, y_limit): ``rules`` fire after k iterations when
+    ||v||_2 <= epsilon, k >= count or the proxy's ||y||_inf <= y_limit.
+    A kind of rule fires when its loosest member does."""
+    return (
+        max((r.epsilon for r in rules if isinstance(r, SampleNorm)), default=-np.inf),
+        min((r.count for r in rules if isinstance(r, FixedIterations)), default=np.inf),
+        max((r.eta / np.sqrt(2.0 * s) for r in rules if isinstance(r, ProxyInfinityNorm)),
+            default=-np.inf),
+    )
 
 
 def check_halt(state: RecoveryState, rule: HaltingRule) -> bool:
@@ -188,8 +178,11 @@ def check_halt(state: RecoveryState, rule: HaltingRule) -> bool:
     The proxy rule reads the proxy stored in the state, i.e. the one
     computed during that iteration; it never triggers an extra multiply.
     """
-    y_inf = None if state.y is None else _inf_norm(state.y)
-    return _fires(rule, state.k, float(np.linalg.norm(state.v)), y_inf, state.s)
+    if not isinstance(rule, HaltingRule):
+        raise TypeError(f"unknown halting rule {rule!r}")
+    epsilon, count, y_limit = _limits((rule,), state.s)
+    return (state.k >= count or float(np.linalg.norm(state.v)) <= epsilon
+            or (state.y is not None and _inf_norm(state.y) <= y_limit))
 
 
 def _merge(state: RecoveryState, y_neg, omega: SupportSet, width: int) -> SupportSet:
@@ -198,13 +191,13 @@ def _merge(state: RecoveryState, y_neg, omega: SupportSet, width: int) -> Suppor
 
 
 def _estimate(
-    op, u, state: RecoveryState, omega: SupportSet, T: SupportSet, config: RecoveryConfig
+    op, u, c, y, state: RecoveryState, omega: SupportSet, T: SupportSet, config: RecoveryConfig
 ) -> tuple[np.ndarray, LsqResult | None]:
-    """Standard estimate: least squares on T against the original samples,
-    warm-started from the current approximation restricted to T."""
+    """Standard estimate: least squares on T against the original samples u and
+    the proxy c = Phi* u (None if unknown), warm-started from a restricted to T."""
     if len(T) == 0:
         return np.zeros_like(state.a), None
-    result = solve(op, T, u, state.a[T.indices], config.lsq)
+    result = solve(op, T, u, state.a[T.indices], config.lsq, c)
     return embed(result.coefficients, T), result
 
 
@@ -221,30 +214,31 @@ def _iterate(
     y_neg: np.ndarray,
     op: SamplingOperator,
     u: np.ndarray,
+    c: np.ndarray | None,
     config: RecoveryConfig,
     merge,
     estimate,
     times: dict[str, float],
 ) -> tuple[RecoveryState, float]:
     """Identify, merge, estimate, prune and update from the proxy ``y`` and
-    ``y_neg`` = -|y|, for a validated ``u``; returns the new state and
-    ||v||_2.
+    ``y_neg`` = -|y|, for a validated ``u`` and ``c`` = Phi* u (or None);
+    returns the new state and ||v||_2.
 
     ``merge(state, y_neg, omega, prune_width)`` returns the estimation
-    support T and ``estimate(op, u, state, omega, T, config)`` the pre-prune
-    estimate b with its solver result; they are the only steps in which the
-    loop variants differ.  Step times in microseconds go into ``times``.  A
-    solver ``LinAlgError`` or a non-finite estimate raises
-    :class:`SolverFailure` with the index of the iteration.
+    support T and ``estimate(op, u, c, y, state, omega, T, config)`` the
+    pre-prune estimate b, zero off T (so the prune ranks b on T alone), with
+    its solver result; they are the only steps in which the loop variants
+    differ.  Step times in microseconds go into ``times``.  A solver
+    ``LinAlgError`` or a non-finite estimate raises :class:`SolverFailure`.
     """
-    identify_width, prune_width = config.widths(op.n)
     tick = time.perf_counter_ns()
+    identify_width, prune_width = config.widths(op.n)
     omega = SupportSet._trusted(_select(y_neg, identify_width), op.n)
     tick = _lap(times, "identify", tick)
     T = merge(state, y_neg, omega, prune_width)
     tick = _lap(times, "merge", tick)
     try:
-        b, lsq_result = estimate(op, u, state, omega, T, config)
+        b, lsq_result = estimate(op, u, c, y, state, omega, T, config)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(state.k + 1, exc) from exc
     if lsq_result is not None and not np.isfinite(lsq_result.coefficients).all():
@@ -252,24 +246,16 @@ def _iterate(
             state.k + 1, FloatingPointError("estimate has non-finite coefficients")
         )
     tick = _lap(times, "estimate", tick)
-    a_next, support = best_s_approx(b, prune_width)
+    kept, chosen = best_s_approx(b[T.indices], prune_width)  # T is sorted: same ties
+    a_next = embed(kept, T)
+    support = SupportSet._trusted(T.indices[chosen.indices], op.n)
     tick = _lap(times, "prune", tick)
     v_next = u - op.apply(a_next)
     v_norm = float(np.linalg.norm(v_next))
+    state = RecoveryState(state.k + 1, state.s, a_next, state.a, v_next, y, omega, T, b,
+                          lsq_result, support)
     _lap(times, "update", tick)
-    return RecoveryState(
-        k=state.k + 1,
-        s=state.s,
-        a=a_next,
-        a_prev=state.a,
-        v=v_next,
-        y=y,
-        omega=omega,
-        T=T,
-        b=b,
-        lsq_result=lsq_result,
-        support=support,
-    ), v_norm
+    return state, v_norm
 
 
 def cosamp_iteration(
@@ -283,7 +269,7 @@ def cosamp_iteration(
     """
     u = as_samples(u, op.m)
     y = op.adjoint(state.v)
-    return _iterate(state, y, _neg_abs(y), op, u, config, _merge, _estimate, {})[0]
+    return _iterate(state, y, _neg_abs(y), op, u, None, config, _merge, _estimate, {})[0]
 
 
 @dataclass(frozen=True)
@@ -404,10 +390,7 @@ def _drive(
             f"4 s = {4 * config.s} exceeds N = {op.n}; recovery guarantees assume 4 s <= N",
             stacklevel=3,
         )
-    rules = config.rules()
-    proxy_rules = [r for r in rules if isinstance(r, ProxyInfinityNorm)]
-    sample_rules = [r for r in rules if isinstance(r, SampleNorm)]
-    fixed_rules = [r for r in rules if isinstance(r, FixedIterations)]
+    epsilon, count, y_limit = _limits(config.rules(), config.s)
     max_iters = config.effective_max_iterations()
 
     state = initial_state(op, u, config.s)
@@ -416,13 +399,14 @@ def _drive(
     audits: list[tuple[StepBound, ...]] = []
     diverged: list[int] = []
     v_norm = float(np.linalg.norm(state.v))
+    c = None  # Phi* u: the first proxy, since v_0 = u
 
     # One halting pass per iteration; see recover for the priority.
     while True:
-        if any(_fires(r, state.k, v_norm, None, config.s) for r in sample_rules):
+        if v_norm <= epsilon:
             halt_reason = "sample_norm"
             break
-        if any(_fires(r, state.k, v_norm, None, config.s) for r in fixed_rules):
+        if state.k >= count:
             halt_reason = "fixed_iterations"
             break
         if state.k >= max_iters:
@@ -434,12 +418,13 @@ def _drive(
         y = op.adjoint(state.v)
         y_neg = _neg_abs(y)  # the one |y| pass: ||y||_inf, the identify step, prune-first
         y_inf = float(-y_neg.min()) if y_neg.size else 0.0
+        c = y if c is None else c
         _lap(times, "proxy", tick)
-        if any(_fires(r, state.k, v_norm, y_inf, config.s) for r in proxy_rules):
+        if y_inf <= y_limit:
             halt_reason = "proxy_infinity_norm"
             break
 
-        state, v_norm = _iterate(state, y, y_neg, op, u, config, merge, estimate, times)
+        state, v_norm = _iterate(state, y, y_neg, op, u, c, config, merge, estimate, times)
         if state.lsq_result is not None and state.lsq_result.diverged:
             diverged.append(state.k)
 

@@ -24,13 +24,8 @@ def _validated_vector(entries, length: int | None, what: str) -> np.ndarray:
     arr = np.asarray(entries)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be 1-D, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
-        arr = arr.astype(np.complex128, copy=True)
-        finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
-    else:
-        arr = arr.astype(np.float64, copy=True)
-        finite = np.isfinite(arr)
-    if not finite.all():
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=True)
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     if length is not None and arr.size != length:
         raise ValueError(f"{what} has length {arr.size}, expected {length}")

@@ -25,17 +25,18 @@ def recover_residual_variant(
 
     The least-squares solve targets the CURRENT samples v on the identified
     set Omega, always warm-started from zero (the residual shrinks, so zero
-    is the natural seed); the resulting residual estimate is added onto the
-    previous approximation before pruning.  ``truth`` and ``noise`` feed
-    the trace and the audits as in :func:`~cosamp.recovery.recover`.
+    is the natural seed) and given the iteration's proxy Phi* v; the
+    resulting residual estimate is added onto the previous approximation
+    before pruning.  ``truth`` and ``noise`` feed the trace and the audits
+    as in :func:`~cosamp.recovery.recover`.
     """
     return _drive(op, u, config, truth, noise, _merge, _residual_estimate)
 
 
-def _residual_estimate(op, u, state, omega: SupportSet, T: SupportSet, config: RecoveryConfig):
+def _residual_estimate(op, u, c, y, state, omega: SupportSet, T, config: RecoveryConfig):
     if len(omega) == 0:
         return state.a.copy(), None
-    result = solve(op, omega, state.v, None, config.lsq)
+    result = solve(op, omega, state.v, None, config.lsq, y)  # y = Phi* v
     return state.a + embed(result.coefficients, omega), result
 
 
@@ -72,9 +73,8 @@ def _surrogate_prune(state, y_neg: np.ndarray, omega: SupportSet, width: int) ->
     merged = merge_support(omega, prev)
     if len(merged) <= width:
         return merged
-    keys = np.zeros(merged.n)  # negated ranking keys, as _select takes them
-    keys[omega.indices] = y_neg[omega.indices]
-    keys[prev.indices] = -np.abs(state.a[prev.indices])  # |a_i| wins where both hold i
-    # every merged key is negative and every other key is 0, so the selection
-    # stays inside the merged set; ties go to the lowest index
-    return SupportSet._trusted(_select(keys, width), merged.n)
+    idx = merged.indices
+    keys = y_neg[idx]  # negated ranking keys on the merged set, as _select takes them
+    keys[np.searchsorted(idx, prev.indices)] = -np.abs(state.a[prev.indices])  # |a_i| wins
+    # merged is sorted, so ties still go to the lowest index
+    return SupportSet._trusted(idx[_select(keys, width)], merged.n)

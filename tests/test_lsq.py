@@ -9,6 +9,7 @@ from conftest import gated_operator, planted_instance
 from cosamp import prng
 from cosamp.lsq import (
     LsqConfig,
+    LsqResult,
     RankDeficiencyError,
     cg_solve,
     direct_solve,
@@ -24,7 +25,7 @@ from cosamp.operators import (
     partial_fourier_operator,
 )
 from cosamp.rip import gram_deviation
-from cosamp.signals import SupportSet
+from cosamp.signals import SupportSet, as_samples
 
 
 def orthonormal_op(n=8, cols=8, seed=0):
@@ -200,21 +201,124 @@ class TestClosedFormGram:
         wrapped = Forwarding(op)
         result = cg_solve(wrapped, T, u, z0, iterations=3)
         assert result.iterations_used == 3
-        assert wrapped.products == 2  # right-hand side and final residual
+        assert wrapped.products == 1  # the right-hand side
         residual = np.linalg.norm(u - op.apply_sub(T, result.coefficients))
         assert result.residual_samples_norm == pytest.approx(residual, rel=1e-12)
+        assert wrapped.products == 2  # the residual, on first read
+        assert result.residual_samples_norm == pytest.approx(residual, rel=1e-12)
+        assert wrapped.products == 2  # kept: a second read makes no product
 
     def test_dense_keeps_product_path(self):
         op = ProductsOnly(gaussian_operator(16, 32, seed=2))
         T = SupportSet(np.array([3, 8, 20]), 32)
-        cg_solve(op, T, prng.normals(7, 16), None, iterations=3)
-        assert op.products == 2 + 2 * 4  # per normal product: Phi_T, then Phi_T*
+        result = cg_solve(op, T, prng.normals(7, 16), None, iterations=3)
+        assert op.products == 1 + 2 * 4  # per normal product: Phi_T, then Phi_T*
+        result.residual_samples_norm
+        assert op.products == 1 + 2 * 4 + 1  # the residual, on first read
+        result.residual_samples_norm
+        assert op.products == 1 + 2 * 4 + 1
+
+    @pytest.mark.parametrize("solver", [cg_solve, richardson_solve, direct_solve])
+    def test_proxy_gives_the_same_solve_with_no_product(self, solver):
+        # a closed-form Gram view reads Phi_T* u off the proxy Phi* u, which
+        # equals adjoint_sub(T, u) bit for bit
+        op, T, u, z0 = partial_fourier_instance()
+        proxy = op.adjoint(u)
+        assert np.array_equal(op.restricted(T).rhs(u, proxy), op.adjoint_sub(T, u))
+        args = (z0, 3) if solver is not direct_solve else ()
+        bare = solver(op, T, u, *args)
+        wrapped = Forwarding(op)
+        taken = solver(wrapped, T, u, *args, proxy=proxy)
+        assert np.array_equal(taken.coefficients, bare.coefficients)
+        expected = 0 if solver is not richardson_solve else 2  # its two residuals
+        assert wrapped.products == expected
+        assert taken.residual_samples_norm == bare.residual_samples_norm
+
+    @pytest.mark.parametrize("solver", [cg_solve, richardson_solve, direct_solve])
+    def test_dense_view_ignores_the_proxy(self, solver):
+        # restricting a full gemv differs from the sliced product in the last
+        # bits, so a view with no closed-form Gram keeps its own product
+        op = gaussian_operator(16, 32, seed=2)
+        T = SupportSet(np.array([3, 8, 20]), 32)
+        u = prng.normals(7, 16)
+        args = (None, 3) if solver is not direct_solve else ()
+        bare = solver(op, T, u, *args)
+        with_proxy = solver(op, T, u, *args, proxy=np.zeros(32))
+        assert np.array_equal(with_proxy.coefficients, bare.coefficients)
 
     def test_direct_matches_product_path(self):
         op, T, u, _ = partial_fourier_instance()
         want = cg_solve(ProductsOnly(op), T, u, None, iterations=len(T)).coefficients
         got = direct_solve(op, T, u).coefficients
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestResidualOnRead:
+    """CG and the direct solve compute ||u - Phi_T z||_2 when it is first read,
+    with the same bits as computing it at once."""
+
+    CASES = [
+        ("dense", lambda: gaussian_operator(16, 32, seed=2), lambda n: prng.normals(7, n)),
+        ("complex_dense", lambda: dense_operator(
+            prng.complex_normals(8, 16 * 32).reshape(16, 32) / 4.0),
+         lambda n: prng.complex_normals(9, n)),
+        ("partial_fourier", lambda: partial_fourier_operator(16, 32, seed=3),
+         lambda n: prng.complex_normals(10, n)),
+    ]
+
+    @pytest.mark.parametrize("solver", ["cg", "direct"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_late_read_equals_eager_norm(self, case, solver):
+        _, make_op, make_u = case
+        op = make_op()
+        T = SupportSet(np.array([1, 5, 9, 30]), op.n)
+        u = make_u(op.m)
+        result = solve(op, T, u, None, LsqConfig(solver=solver))
+        eager = np.linalg.norm(u - op.apply_sub(T, result.coefficients))
+        assert result.residual_samples_norm == eager
+        assert result.residual_samples_norm == eager
+
+    def test_richardson_computes_it_at_once(self):
+        op = ProductsOnly(gaussian_operator(16, 32, seed=2))
+        T = SupportSet(np.array([3, 8, 20]), 32)
+        result = richardson_solve(op, T, prng.normals(7, 16), None, iterations=3)
+        products = op.products
+        result.residual_samples_norm
+        assert op.products == products
+
+    @pytest.mark.parametrize("solver", ["cg", "direct"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_later_writes_do_not_reach_the_residual(self, case, solver):
+        # the value read late is the solve's, whatever the caller does to u
+        # in between; the coefficients it was computed from are read-only
+        _, make_op, make_u = case
+        op = make_op()
+        T = SupportSet(np.array([1, 5, 9, 30]), op.n)
+        u = make_u(op.m)
+        samples = u.copy()
+        result = solve(op, T, samples, None, LsqConfig(solver=solver))
+        eager = np.linalg.norm(u - op.apply_sub(T, result.coefficients))
+        samples[:] = 0.0
+        with pytest.raises(ValueError):
+            result.coefficients[0] = 0.0
+        assert result.residual_samples_norm == eager
+
+    def test_read_only_samples_are_kept_as_they_are(self):
+        op = gaussian_operator(16, 32, seed=2)
+        T = SupportSet(np.array([3, 8, 20]), 32)
+        u = as_samples(prng.normals(7, 16))
+        result = cg_solve(op, T, u, None, iterations=3)
+        assert result.residual_samples_norm == np.linalg.norm(
+            u - op.apply_sub(T, result.coefficients))
+
+    def test_a_given_residual_is_returned(self):
+        result = LsqResult(np.array([1.0, 2.0]), 3, 0.5)
+        assert result.residual_samples_norm == 0.5
+
+    def test_repr_shows_no_function(self):
+        op = gaussian_operator(16, 32, seed=2)
+        result = cg_solve(op, SupportSet(np.array([3, 8]), 32), prng.normals(7, 16))
+        assert "lambda" not in repr(result)
 
 
 class TestDirect:

@@ -71,6 +71,14 @@ class TestIterationInvariants:
         assert np.array_equal(state.a, x)
         assert not state.v.any()
 
+    def test_initial_state_holds_its_own_arrays(self):
+        op = cosamp.gaussian_operator(8, 16, seed=1)
+        u = prng.normals(3, 8)
+        state = initial_state(op, u, 2)
+        assert not np.shares_memory(state.a, state.a_prev)
+        assert not np.shares_memory(state.v, u)
+        assert not state.a.any() and not state.a_prev.any()
+
     def test_zero_signal_stays_zero(self):
         op = cosamp.gaussian_operator(8, 16, seed=1)
         u = np.zeros(8)
@@ -291,6 +299,37 @@ class TestHaltingRules:
         eta = 0.2 * np.sqrt(4.0)  # threshold: ||y||_inf <= eta / sqrt(2 s)
         assert check_halt(probe, ProxyInfinityNorm(eta))
         assert not check_halt(probe, ProxyInfinityNorm(eta * 0.99))
+
+    @pytest.mark.parametrize(
+        "rules, reason",
+        [
+            ([FixedIterations(5), FixedIterations(2)], "fixed_iterations"),
+            ([SampleNorm(1e-300), SampleNorm(1e-1), FixedIterations(30)], "sample_norm"),
+            ([ProxyInfinityNorm(1e-300), ProxyInfinityNorm(1e-1), FixedIterations(30)],
+             "proxy_infinity_norm"),
+        ],
+        ids=["fixed", "sample", "proxy"],
+    )
+    def test_a_kind_fires_with_its_loosest_rule(self, rules, reason):
+        # the run halts where any one of its rules alone would
+        op = cosamp.gaussian_operator(32, 64, seed=3)
+        x, _, u = planted_instance(op, 3, seed=41)
+        both = recover(op, u, RecoveryConfig(s=3, halting=rules))
+        first = min(
+            recover(op, u, RecoveryConfig(s=3, halting=[rule, FixedIterations(30)])).iterations_run
+            for rule in rules
+        )
+        assert (both.halt_reason, both.iterations_run) == (reason, first)
+        assert 0 < first < 30
+
+    def test_rules_are_read_on_every_run(self):
+        op = cosamp.gaussian_operator(32, 64, seed=3)
+        _, _, u = planted_instance(op, 3, seed=41)
+        rules = [FixedIterations(3)]
+        config = RecoveryConfig(s=3, halting=rules)
+        assert recover(op, u, config).iterations_run == 3
+        rules[0] = FixedIterations(1)
+        assert recover(op, u, config).iterations_run == 1
 
     def test_proxy_halt_keeps_certified_approximation(self):
         # once the proxy is tiny, the loop stops before touching `a`
@@ -536,3 +575,148 @@ class TestFrozenOutputs:
             for row in report.trace
         ]
         assert rows == want["trace"]
+
+
+class Counting(cosamp.SamplingOperator):
+    """Counts each product by name and forwards every other attribute (such
+    as ``gram_sub``) to the operator it wraps, as a tracing wrapper does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.m, self.n, self.is_complex = inner.m, inner.n, inner.is_complex
+        self.calls = {}
+
+    def _count(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+        return getattr(self.inner, name)
+
+    def apply(self, x):
+        return self._count("apply")(x)
+
+    def adjoint(self, v):
+        return self._count("adjoint")(v)
+
+    def apply_sub(self, T, coeffs):
+        return self._count("apply_sub")(T, coeffs)
+
+    def adjoint_sub(self, T, v):
+        return self._count("adjoint_sub")(T, v)
+
+    def __getattr__(self, name):
+        if name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+def _report_bits(report):
+    return (
+        report.approximation.tobytes(),
+        report.support.indices.tolist(),
+        report.halt_reason,
+        report.iterations_run,
+        report.diverged_iterations,
+        [tuple(float(v).hex() for v in (row.v_norm, row.y_inf, row.err_l2, row.err_linf))
+         for row in report.trace],
+    )
+
+
+LOOPS = {
+    "standard": recover,
+    "residual": cosamp.recover_residual_variant,
+    "prune_first": cosamp.recover_prune_first_variant,
+}
+
+
+class TestTwoProductIteration:
+    """A partial-Fourier iteration makes only the proxy Phi* v and the update
+    Phi a: the solve takes Phi_T* u off a proxy and its Gram in closed form,
+    and nobody reads its residual."""
+
+    @staticmethod
+    def instance(noisy=False):
+        op = cosamp.partial_fourier_operator(48, 128, seed=91)
+        x = cosamp.make_sparse(128, 5, "flat", position_seed=92, sign_seed=93)
+        u = op.apply(x)
+        if noisy:
+            u = u + 1e-3 * prng.complex_normals(94, 48)
+        return op, x, u
+
+    @pytest.mark.parametrize("solver", ["cg", "direct"])
+    @pytest.mark.parametrize("loop", LOOPS, ids=str)
+    def test_k_iterations_make_k_proxies_and_k_updates(self, loop, solver):
+        op, x, u = self.instance(noisy=True)
+        counted = Counting(op)
+        cfg = RecoveryConfig(s=5, halting=FixedIterations(4), lsq=LsqConfig(solver=solver))
+        report = LOOPS[loop](counted, u, cfg, truth=x)
+        assert report.iterations_run == 4
+        assert counted.calls == {"adjoint": 4, "apply": 4}
+
+    @pytest.mark.parametrize("solver", ["cg", "richardson", "direct"])
+    @pytest.mark.parametrize("loop", LOOPS, ids=str)
+    def test_forwarded_runs_equal_bare_runs(self, loop, solver):
+        op, x, u = self.instance(noisy=True)
+        cfg = RecoveryConfig(
+            s=5, halting=[SampleNorm(1e-9), FixedIterations(5)], lsq=LsqConfig(solver=solver)
+        )
+        bare = LOOPS[loop](op, u, cfg, truth=x)
+        forwarded = LOOPS[loop](Counting(op), u, cfg, truth=x)
+        assert _report_bits(forwarded) == _report_bits(bare)
+
+    @pytest.mark.parametrize("loop", ["standard", "residual"])
+    def test_proxy_right_hand_side_is_adjoint_sub(self, loop, monkeypatch):
+        # the standard loop solves against u with proxy Phi* u, the residual
+        # variant against v_k with the iteration's proxy Phi* v_k
+        from cosamp import lsq, variants
+
+        op, x, u = self.instance(noisy=True)
+        checked = []
+
+        def spy(op_, T, samples, z0, config, proxy=None):
+            assert proxy is not None
+            assert np.array_equal(proxy[T.indices], op_.adjoint_sub(T, samples))
+            checked.append(len(T))
+            return lsq.solve(op_, T, samples, z0, config, proxy)
+
+        module = cosamp.recovery if loop == "standard" else variants
+        monkeypatch.setattr(module, "solve", spy)
+        LOOPS[loop](op, u, RecoveryConfig(s=5, halting=FixedIterations(4)))
+        assert len(checked) >= 3
+
+    def test_stepping_has_no_proxy_and_matches_recover(self):
+        # cosamp_iteration holds no Phi* u, so its solve makes the product itself
+        op, x, u = self.instance()
+        counted = Counting(op)
+        state = initial_state(counted, u, 5)
+        state = cosamp_iteration(state, counted, u, RecoveryConfig(s=5))
+        assert counted.calls == {"adjoint": 1, "adjoint_sub": 1, "apply": 1}
+        report = recover(op, u, RecoveryConfig(s=5, halting=FixedIterations(1)))
+        assert np.array_equal(state.a, report.approximation)
+
+    @pytest.mark.parametrize("loop", LOOPS, ids=str)
+    @pytest.mark.parametrize("kind", ["gaussian", "partial_fourier"])
+    def test_prune_on_t_is_best_s_of_b(self, loop, kind):
+        # supp(b) lies in T, so ranking b on T picks what ranking all of b picks
+        if kind == "gaussian":
+            op = cosamp.gaussian_operator(40, 128, seed=5)
+            x = cosamp.make_sparse(128, 6, "exponential", alpha=0.7, position_seed=6, sign_seed=7)
+        else:
+            op = cosamp.partial_fourier_operator(48, 128, seed=5)
+            x = cosamp.make_sparse(128, 6, "flat", position_seed=6, sign_seed=7)
+        u = op.apply(x) + 1e-2 * prng.normals(8, op.m)
+        states = []
+
+        def spy(state, y, *args):
+            new_state, v_norm = iterate(state, y, *args)
+            states.append(new_state)
+            return new_state, v_norm
+
+        iterate = cosamp.recovery._iterate
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cosamp.recovery, "_iterate", spy)
+            LOOPS[loop](op, u, RecoveryConfig(s=6, halting=FixedIterations(5)))
+        assert len(states) == 5
+        for state in states:
+            assert not np.delete(state.b, state.T.indices).any()
+            a, supp = cosamp.best_s_approx(state.b, 6)
+            assert np.array_equal(state.a, a) and state.a.dtype == a.dtype
+            assert state.support == supp

@@ -1,7 +1,11 @@
 """Loop variants: residual approximation, final polish, prune-first."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosamp
 from conftest import gated_operator, planted_instance
@@ -9,8 +13,10 @@ from cosamp import experiment, prng
 from cosamp.experiment import _dispatch
 from cosamp.lsq import LsqConfig
 from cosamp.recovery import FixedIterations, RecoveryConfig, SampleNorm, SolverFailure, recover
-from cosamp.signals import support_of
+from cosamp.recovery import initial_state
+from cosamp.signals import SupportSet, _select, support_of
 from cosamp.variants import (
+    _surrogate_prune,
     final_polish,
     recover_prune_first_variant,
     recover_residual_variant,
@@ -139,6 +145,41 @@ class TestPruneFirstVariant:
             assert on_support <= 1e-9 * np.abs(y_next).max()
             omega_next = cosamp.identify(y_next, 6)
             assert not set(omega_next) & set(supp)
+
+
+def _surrogate_prune_over_n(state, y_neg, omega, width):
+    """The prune-first merge as it ranked keys over all N indices."""
+    prev = support_of(state.a) if state.support is None else state.support
+    merged = omega.union(prev)
+    if len(merged) <= width:
+        return merged
+    keys = np.zeros(merged.n)
+    keys[omega.indices] = y_neg[omega.indices]
+    keys[prev.indices] = -np.abs(state.a[prev.indices])
+    return SupportSet(_select(keys, width), merged.n)
+
+
+class TestSurrogateRanking:
+    """Ranking only the merged indices picks what ranking all N did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 1j, -1 - 1j]),
+                 min_size=12, max_size=12),
+        st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, -2.0, 1j]), min_size=12,
+                 max_size=12),
+        st.integers(1, 6),
+        st.integers(0, 8),
+    )
+    def test_matches_ranking_over_n(self, y_entries, a_entries, width, omega_width):
+        # few distinct magnitudes, so ties and |a_i| = |y_i| are common
+        y = np.array(y_entries, dtype=np.complex128)
+        a = np.array(a_entries, dtype=np.complex128)
+        state = replace(initial_state(cosamp.identity_operator(12), np.zeros(12), width), a=a)
+        y_neg = -np.abs(y)
+        omega = cosamp.identify(y, omega_width)
+        got = _surrogate_prune(state, y_neg, omega, width)
+        assert got == _surrogate_prune_over_n(state, y_neg, omega, width)
 
 
 class TestSharedDriver:
