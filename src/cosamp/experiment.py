@@ -190,7 +190,7 @@ def build_noise(spec: dict | None, m: int, complex_samples: bool, seed: int) -> 
     raise ConfigError("noise spec needs either 'norm' or 'sigma'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialOutcome:
     report: RecoveryReport
     truth: np.ndarray

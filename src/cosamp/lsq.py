@@ -66,14 +66,14 @@ class LsqConfig:
             raise ValueError("iterations must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LsqResult:
     """``residual`` is ||u - Phi_T z||_2, or a function computing it from the solve's u
     and z, both frozen, that ``residual_samples_norm`` calls on first read."""
 
     coefficients: np.ndarray  # length |T|
     iterations_used: int
-    residual: float | Callable[[], float] = field(repr=False, compare=False)
+    residual: float | Callable[[], float] = field(repr=False)
     diverged: bool = False
 
     @functools.cached_property

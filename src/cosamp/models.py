@@ -132,7 +132,7 @@ def compressible_energy_bound(spec: CompressibleSpec, s: int, e_norm: float = 0.
     return 2.0 * c_p * spec.magnitude * s ** (0.5 - 1.0 / spec.p) + float(e_norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseFold:
     """Tail-folded noise: u = Phi x_s + folded, with the analytic bound."""
 

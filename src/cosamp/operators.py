@@ -198,7 +198,11 @@ class DenseOperator(SamplingOperator):
         return self.matrix @ _check_length(x, self.n, "signal")
 
     def adjoint(self, v) -> np.ndarray:
-        return self.matrix.conj().T @ _check_length(v, self.m, "sample vector")
+        v = _check_length(v, self.m, "sample vector")
+        if self.is_complex:
+            # conj(Phi)^T v = conj(conj(v)^T Phi), without an m x N copy of conj(Phi)
+            return (v.conj() @ self.matrix).conj()
+        return self.matrix.T @ v
 
     def apply_sub(self, T: SupportSet, coeffs) -> np.ndarray:
         self._check_support(T)

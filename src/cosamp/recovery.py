@@ -105,7 +105,7 @@ class RecoveryConfig:
         return min(2 * self.s, n), min(self.s, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryState:
     """Everything the loop knows after an iteration: approximation a,
     previous approximation, current samples v, the proxy y that drove the
@@ -113,8 +113,9 @@ class RecoveryState:
     estimate b.
 
     ``support`` is supp(a) as the prune chose it, so that no later step
-    rescans a; None means not known, and the loop then takes it from a.  A
-    state built around another ``a`` must leave it None.
+    rescans a; None means not known, and the loop then takes it from a.
+    Only the loop sets it: a state built by hand or by
+    ``dataclasses.replace`` starts with None.
     """
 
     k: int
@@ -127,7 +128,7 @@ class RecoveryState:
     T: SupportSet
     b: np.ndarray | None
     lsq_result: LsqResult | None = None
-    support: SupportSet | None = None
+    support: SupportSet | None = field(default=None, init=False)
 
 
 def _support(state: RecoveryState) -> SupportSet:
@@ -253,7 +254,8 @@ def _iterate(
     v_next = u - op.apply(a_next)
     v_norm = float(np.linalg.norm(v_next))
     state = RecoveryState(state.k + 1, state.s, a_next, state.a, v_next, y, omega, T, b,
-                          lsq_result, support)
+                          lsq_result)
+    object.__setattr__(state, "support", support)
     _lap(times, "update", tick)
     return state, v_norm
 
@@ -327,7 +329,7 @@ def iteration_diagnostics(state: RecoveryState, truth, noise) -> tuple[StepBound
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryReport:
     """Audited outcome of one recovery run."""
 

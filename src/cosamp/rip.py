@@ -11,8 +11,8 @@ delta_cr <= c * delta_2r, and the nonsparse energy bound).
 
 Both modes take the maximum of ||G_S - I||_2 over a list of supports
 without solving an eigenproblem for each: a cheap upper bound per support
-(Gershgorin or Frobenius) rules out every support that cannot beat the
-worst deviation already found, with a margin far above rounding, so the
+(the Frobenius norm ||G_S - I||_F) rules out every support that cannot beat
+the worst deviation already found, with a margin far above rounding, so the
 maximum is the brute-force one bit for bit.
 """
 
@@ -99,13 +99,12 @@ def _deviations(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
 
 
 def _deviation_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """An upper bound on ||G_S - I||_2 for each increasing support row S.
+    """||G_S - I||_F, an upper bound on ||G_S - I||_2, for each increasing support row S.
 
-    With A = G_S - I it is the smaller of the Gershgorin bound
-    max_i sum_j |A_ij| and the Frobenius norm ||A||_F, both taken over the
-    lower triangle of A, which is all that ``eigvalsh`` reads: for b > a,
-    entry (S_b, S_a) of G is in its lower triangle.  The entries are
-    gathered straight from G, so no N x N temporary is made.
+    The norm is taken over the lower triangle of G_S - I, which is all that
+    ``eigvalsh`` reads: for b > a, entry (S_b, S_a) of G is in its lower
+    triangle.  The entries are gathered straight from G, so no N x N
+    temporary is made.
     """
     n = gram.shape[0]
     entries = gram.ravel()
@@ -113,18 +112,12 @@ def _deviation_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     out = np.empty(supports.shape[0])
     for start in range(0, supports.shape[0], _CHUNK):
         cols = supports[start : start + _CHUNK].T
-        row_sums = [np.abs(diagonal[c] - 1.0) for c in cols]
-        squares = sum(d * d for d in row_sums)
+        squares = sum(np.abs(diagonal[c] - 1.0) ** 2 for c in cols)
         for b in range(1, len(cols)):
             row = cols[b] * n
             for a in range(b):
-                v = np.abs(entries[row + cols[a]])
-                row_sums[a] += v
-                row_sums[b] += v
-                squares += 2.0 * v * v
-        out[start : start + cols.shape[1]] = np.minimum(
-            np.maximum.reduce(row_sums), np.sqrt(squares)
-        )
+                squares += 2.0 * np.abs(entries[row + cols[a]]) ** 2
+        out[start : start + cols.shape[1]] = np.sqrt(squares)
     return out
 
 
@@ -132,7 +125,7 @@ def _max_deviation_over(gram: np.ndarray, supports: np.ndarray) -> float:
     """Max of ||G_S - I||_2 over the support rows, exactly as if every row's
     ``eigvalsh`` had been computed.
 
-    The supports with the _PROBE_COUNT largest bounds from
+    The supports with the _PROBE_COUNT largest Frobenius bounds from
     :func:`_deviation_bounds` are solved first; their worst deviation L is a
     lower bound on the answer.  A support whose bound is at most L - tol
     cannot beat L, so only the rest are solved.  tol = 1e-9 max(1, L) sits
@@ -170,11 +163,10 @@ def rip_estimate(
     method and the budget are checked before the Gram matrix is built.
 
     Both modes return the largest ||G_S - I||_2 over their supports but
-    solve an eigenproblem only for supports whose cheap upper bound (the
-    smaller of the Gershgorin bound max_i sum_{j in S} |G - I|_ij and the
-    Frobenius norm) could beat the worst deviation already found; skipped
-    supports cannot, so the value is the one solving every support gives,
-    bit for bit (see :func:`_max_deviation_over`).
+    solve an eigenproblem only for supports whose cheap upper bound, the
+    Frobenius norm ||G_S - I||_F, could beat the worst deviation already
+    found; skipped supports cannot, so the value is the one solving every
+    support gives, bit for bit (see :func:`_max_deviation_over`).
     """
     if not 1 <= r <= op.n:
         raise ValueError(f"need 1 <= r <= N, got r={r}")
@@ -232,38 +224,33 @@ def check_rip_consequences(
     r: int = 2,
     c: int = 3,
     x=None,
-    support: SupportSet | None = None,
-    disjoint: SupportSet | None = None,
     seed: int = 0,
-    budget: int = 10**6,
     include: tuple[str, ...] = ALL_CHECKS,
 ) -> RipConsequenceReport:
     """Audit the spectral-consequence inequalities on one small instance.
 
     All delta values are computed exhaustively, so the instance must be
-    small enough for the enumeration budget; ``include`` restricts the
-    audit when some delta order would blow it.  ``x`` defaults to a seeded
-    dense vector; ``support``/``disjoint`` default to seeded sets of size r.
-    The report carries every inequality's two sides; failures are reported,
-    not raised.
+    small enough for :func:`rip_estimate`'s default budget; ``include``
+    restricts the audit when some delta order would exceed it.  ``x``
+    defaults to a seeded dense vector; the support and the disjoint set are
+    seeded sets of size r.  The report carries every inequality's two sides;
+    failures are reported, not raised.
     """
     n = op.n
     if x is None:
         x = prng.normals(prng.mix_seed(seed, 1), n)
     x = np.asarray(x)
-    if support is None:
-        support = SupportSet(prng.sample_without_replacement(prng.mix_seed(seed, 2), n, r), n)
-    if disjoint is None:
-        pool = support.complement().indices
-        take = pool[prng.sample_without_replacement(prng.mix_seed(seed, 3), pool.size, r)]
-        disjoint = SupportSet(np.sort(take), n)
+    support = SupportSet(prng.sample_without_replacement(prng.mix_seed(seed, 2), n, r), n)
+    pool = support.complement().indices
+    take = pool[prng.sample_without_replacement(prng.mix_seed(seed, 3), pool.size, r)]
+    disjoint = SupportSet(np.sort(take), n)
 
     mat = op.materialize()
     deltas: dict[int, float] = {}
 
     def delta(order: int) -> float:
         if order not in deltas:
-            deltas[order] = rip_estimate(op, order, "exhaustive", budget=budget).delta_lower
+            deltas[order] = rip_estimate(op, order, "exhaustive").delta_lower
         return deltas[order]
 
     checks: list[ConsequenceCheck] = []

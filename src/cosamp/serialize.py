@@ -57,8 +57,7 @@ def read_signal(path) -> np.ndarray:
     if kind == _KIND_COMPLEX:
         if len(payload) != 16 * n:
             raise ValueError("truncated complex signal payload")
-        flat = np.frombuffer(payload, dtype="<f8")
-        return (flat[0::2] + 1j * flat[1::2]).astype(np.complex128)
+        return np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     raise ValueError(f"unknown scalar kind {kind}")
 
 
@@ -81,8 +80,7 @@ def read_matrix(path) -> np.ndarray:
     payload = raw[12:]
     if len(payload) != 16 * m * n:
         raise ValueError("truncated matrix payload")
-    flat = np.frombuffer(payload, dtype="<f8")
-    mat = (flat[0::2] + 1j * flat[1::2]).reshape(m, n)
+    mat = np.frombuffer(payload, dtype="<c16").reshape(m, n)
     if not mat.imag.any():
         return mat.real.astype(np.float64)
     return mat.astype(np.complex128)

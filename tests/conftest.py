@@ -1,10 +1,11 @@
 """Shared fixtures: delta-gated operators and planted instances.
 
 Guarantee-constant tests only run on instances whose restricted isometry
-constant is exhaustively verified, since the property cannot be certified
-at scale.  The gated construction is Q (I + eps S) with Q orthogonal and
-||S||_2 = 1, which bounds every delta_r by 2 eps + eps^2 by design; the
-tests still verify delta_4s exhaustively before relying on it.
+constant is verified, since the property cannot be certified at scale.  The
+gated construction is Q (I + eps S) with Q orthogonal and ||S||_2 = 1,
+which bounds every delta_r by 2 eps + eps^2 by design; the tests still
+check delta_4s before relying on it, on the proven bound ||G - I||_2 >=
+delta_r (the acceptance pool) or exhaustively (``gated_16``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Guarantee-constant checks run only on instances whose restricted isometry
-constant is verified exhaustively (the gate), since the property cannot be
-certified for large random matrices; large-scale checks are property-based.
+constant is verified (the gate: a proven bound, or an exhaustive value),
+since the property cannot be certified for large random matrices;
+large-scale checks are property-based.
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines.
 """
@@ -37,7 +38,7 @@ from cosamp.recovery import (
     recover,
 )
 from cosamp.rip import gram_deviation, rip_estimate
-from cosamp.signals import best_s_approx, norms
+from cosamp.signals import SupportSet, best_s_approx, norms
 
 
 @contextmanager
@@ -57,11 +58,14 @@ GATE = 0.1
 
 @pytest.fixture(scope="session")
 def gated_pool():
-    """20 operators with exhaustively verified delta_4s <= 0.1.
+    """20 operators with delta_4s <= 0.1, as (op, s, bound) with bound >= delta_4s.
 
-    Construction Q (I + eps S) keeps every delta_r below 2 eps + eps^2;
-    the exhaustive verification below is still performed, and its value is
-    what the guarantee audits use.
+    Construction Q (I + eps S) keeps every delta_r below 2 eps + eps^2.
+    The gate is still checked, on the proven bound ||G - I||_2 of the full
+    Gram G: every G_S - I is a principal submatrix of G - I, so by Cauchy
+    interlacing (Horn & Johnson, Thm 4.3.28) the bound is at least every
+    delta_r, and bound <= 0.1 implies delta_4s <= 0.1 without enumerating
+    supports.
     """
     specs = (
         [(16, 2, 100 + i) for i in range(12)]
@@ -71,9 +75,9 @@ def gated_pool():
     pool = []
     for n, s, seed in specs:
         op = gated_operator(n, seed=seed)
-        est = rip_estimate(op, 4 * s, "exhaustive")
-        assert est.delta_exact is not None and est.delta_exact <= GATE
-        pool.append((op, s, est.delta_exact))
+        bound = gram_deviation(op, SupportSet.full(op.n))
+        assert bound <= GATE
+        pool.append((op, s, bound))
     return pool
 
 

@@ -1,5 +1,7 @@
 """Sampling operators against dense oracles and the adjoint identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,23 @@ class TestAdjointConsistency:
             lhs = np.vdot(v, op.apply(x))
             rhs = np.vdot(op.adjoint(v), x)
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("complex_v", [False, True])
+    def test_complex_dense_adjoint_matches_the_conjugate_transpose(self, complex_v):
+        op = dense_operator(prng.complex_normals(42, 64 * 96).reshape(64, 96))
+        v = random_signal(43, 64, complex_valued=complex_v)
+        assert op.adjoint(v).tobytes() == (op.matrix.conj().T @ v).tobytes()
+
+    def test_complex_dense_adjoint_copies_no_matrix(self):
+        op = dense_operator(prng.complex_normals(44, 256 * 1024).reshape(256, 1024))
+        v = prng.complex_normals(45, 256)
+        tracemalloc.start()
+        try:
+            op.adjoint(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < op.matrix.nbytes / 100
 
 
 class TestDenseEquivalence:

@@ -1,6 +1,7 @@
 """The recovery loop: identification, merging, iteration invariants,
 halting rules, diagnostics, and determinism."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 import cosamp
 from conftest import gated_operator, planted_instance
 from cosamp import prng
-from cosamp.lsq import LsqConfig
+from cosamp.experiment import run_trial
+from cosamp.lsq import LsqConfig, cg_solve
+from cosamp.models import noise_fold
 from cosamp.recovery import (
     FixedIterations,
     ProxyInfinityNorm,
@@ -133,6 +136,19 @@ class TestIterationInvariants:
             assert state.support == support_of(state.a)
         report = recover(op, u, RecoveryConfig(s=4, halting=FixedIterations(6)))
         assert report.support == support_of(report.approximation) == state.support
+
+    def test_replacing_a_drops_the_carried_support(self):
+        op = cosamp.gaussian_operator(32, 128, seed=5)
+        x = cosamp.make_sparse(128, 4, "flat", position_seed=6, sign_seed=7)
+        u = op.apply(x)
+        config = RecoveryConfig(s=4)
+        state = cosamp_iteration(initial_state(op, u, 4), op, u, config)
+        a = np.zeros(128)
+        a[[0, 1]] = 1.0
+        moved = dataclasses.replace(state, a=a)
+        assert moved.support is None  # the loop sets it; replace cannot carry it over
+        nxt = cosamp_iteration(moved, op, u, config)
+        assert {0, 1} <= set(nxt.T.indices.tolist())
 
     def test_planted_error_sequence_converges(self):
         op = cosamp.gaussian_operator(32, 64, seed=3)
@@ -470,6 +486,39 @@ class TestOneEngine:
         state = initial_state(op, u, 2)
         with pytest.raises(ValueError, match="sample vector contains non-finite"):
             cosamp_iteration(state, op, u, RecoveryConfig(s=2))
+
+
+class TestResultsCompareByIdentity:
+    """Frozen results that hold arrays compare by identity instead of raising
+    on an array's ambiguous truth value, and hash."""
+
+    @staticmethod
+    def make_results():
+        op = cosamp.gaussian_operator(16, 32, seed=3)
+        x = cosamp.make_sparse(32, 2, "flat", position_seed=4, sign_seed=5)
+        u = op.apply(x)
+        config = RecoveryConfig(s=2, halting=FixedIterations(2))
+        cfg = {
+            "version": "config_v1",
+            "master_seed": 7,
+            "operator": {"kind": "gaussian", "m": 16, "n": 64},
+            "signal": {"kind": "sparse", "n": 64, "s": 3, "law": "flat"},
+            "noise": None,
+            "recovery": {"s": 3},
+        }
+        return (
+            cg_solve(op, SupportSet(np.arange(4), 32), u),
+            cosamp_iteration(initial_state(op, u, 2), op, u, config),
+            recover(op, u, config),
+            run_trial(cfg),
+            noise_fold(op, prng.normals(6, 32), 2),
+        )
+
+    def test_equal_values_are_distinct_results(self):
+        for first, second in zip(self.make_results(), self.make_results()):
+            assert first == first
+            assert first != second
+            assert hash(first) != hash(second)
 
 
 class TestFrozenOutputs:

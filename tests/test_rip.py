@@ -1,5 +1,6 @@
 """Restricted isometry estimation and its spectral consequences."""
 
+import math
 import tracemalloc
 from itertools import combinations
 
@@ -98,6 +99,43 @@ def complex_operator():
     return dense_operator(prng.complex_normals(21, 10 * 14).reshape(10, 14) / np.sqrt(10))
 
 
+# every operator this file estimates a restricted isometry constant of
+RIP_FIXTURES = {
+    "identity8": lambda: identity_operator(8),
+    "identity12": lambda: identity_operator(12),
+    "duplicated-column": duplicated_column_operator,
+    "complex10x14": complex_operator,
+    "gauss8x10": lambda: gaussian_operator(8, 10, seed=6),
+    "gauss12x16-2": lambda: gaussian_operator(12, 16, seed=2),
+    "gauss12x16-4": lambda: gaussian_operator(12, 16, seed=4),
+    "gauss12x16-8": lambda: gaussian_operator(12, 16, seed=8),
+    "gauss24x32-1": lambda: gaussian_operator(24, 32, seed=1),
+    "gauss24x32-11": lambda: gaussian_operator(24, 32, seed=11),
+    "gauss24x32-13": lambda: gaussian_operator(24, 32, seed=13),
+    "gauss24x32-77": lambda: gaussian_operator(24, 32, seed=77),
+    "gauss32x64": lambda: gaussian_operator(32, 64, seed=7),
+    "fourier16x32": lambda: partial_fourier_operator(16, 32, seed=2),
+    "gated12": lambda: gated_operator(12, seed=5),
+    "gated16": lambda: gated_operator(16, seed=1),
+}
+
+
+class TestFullGramBound:
+    """||G - I||_2 bounds every delta_r: each G_S - I is a principal
+    submatrix of G - I, so Cauchy interlacing caps its norm."""
+
+    @pytest.mark.parametrize("make_op", list(RIP_FIXTURES.values()), ids=list(RIP_FIXTURES))
+    def test_bound_covers_every_exhaustive_delta(self, make_op):
+        op = make_op()
+        bound = gram_deviation(op, SupportSet.full(op.n))
+        # orders past N/2 or past 1e5 supports take seconds to minutes each on
+        # the 32-column operators; delta_r grows with r and delta_N is the bound
+        orders = [r for r in range(1, op.n // 2 + 1) if math.comb(op.n, r) <= 10**5]
+        for r in orders + [op.n]:
+            delta = rip_estimate(op, r, "exhaustive").delta_exact
+            assert delta <= bound + 1e-12 * max(1.0, bound)
+
+
 class TestPrunedEstimateIsExact:
     """The pruned search returns the unpruned maximum bit for bit."""
 
@@ -177,10 +215,10 @@ class TestPrunedEstimateIsExact:
         assert peak < gram.nbytes / 100
 
     def test_support_with_a_tight_bound_just_above_the_probe_is_solved(self, monkeypatch):
-        # support (0, 1, 2) is a star with loose bounds: deviation 0.5 sqrt 2,
-        # Gershgorin and Frobenius bounds 1.0, so it is the only probe.
-        # support (3, 4, 5) has deviation 0.71 = its Gershgorin bound, only
-        # 0.003 above the probe's deviation, so it must still be solved.
+        # support (0, 1, 2) is a star: deviation 0.5 sqrt 2, Frobenius bound 1.0.
+        # support (3, 4, 5) has deviation 0.71 and Frobenius bound 0.71 sqrt 2,
+        # so it is the only probe; the star's bound is above 0.71, so it is
+        # solved too.
         monkeypatch.setattr(rip, "_PROBE_COUNT", 1)
         gram = np.eye(6)
         gram[0, 1] = gram[1, 0] = gram[0, 2] = gram[2, 0] = 0.5
@@ -189,6 +227,21 @@ class TestPrunedEstimateIsExact:
         worst = rip._max_deviation_over(gram, supports)
         assert worst == brute_force_max(gram, supports)
         assert worst == pytest.approx(0.71)
+
+    def test_support_whose_bound_barely_beats_the_probe_is_solved(self, monkeypatch):
+        # support (0, 1, 2) is a star: deviation 0.5 sqrt 2 = 0.707, Frobenius
+        # bound 1.0, so it is the only probe.  Support (3, 4, 5) is I + 0.24 J:
+        # G_S - I has rank one, so its bound equals its deviation 0.72, only
+        # 0.013 above the probe's, and it must still be solved.
+        monkeypatch.setattr(rip, "_PROBE_COUNT", 1)
+        gram = np.eye(6)
+        gram[0, 1] = gram[1, 0] = gram[0, 2] = gram[2, 0] = 0.5
+        gram[3:, 3:] += 0.24
+        supports = np.array([[0, 1, 2], [3, 4, 5]])
+        assert rip._deviation_bounds(gram, supports) == pytest.approx([1.0, 0.72])
+        worst = rip._max_deviation_over(gram, supports)
+        assert worst == brute_force_max(gram, supports)
+        assert worst == pytest.approx(0.72)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_enumeration_order_matches_itertools(self, n):

@@ -22,6 +22,15 @@ from cosamp.serialize import (
 )
 
 
+def special_values():
+    """Every pairing of +-0.0, +-inf, NaN and 1.5 as (real, imag) parts."""
+    parts = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5])
+    x = np.empty(parts.size**2, dtype=np.complex128)
+    x.real = np.repeat(parts, parts.size)
+    x.imag = np.tile(parts, parts.size)
+    return x
+
+
 class TestSignalFormat:
     def test_real_roundtrip(self, tmp_path):
         x = prng.normals(1, 17)
@@ -38,6 +47,14 @@ class TestSignalFormat:
         back = read_signal(path)
         assert back.dtype == np.complex128
         assert np.array_equal(back, x)
+
+    def test_complex_special_values_roundtrip_bit_for_bit(self, tmp_path):
+        x = special_values()
+        path = tmp_path / "x.csk1"
+        write_signal(path, x)
+        back = read_signal(path)
+        assert back.dtype == np.complex128
+        assert back.tobytes() == x.tobytes()
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "x.csk1"
@@ -76,6 +93,14 @@ class TestMatrixFormat:
         path = tmp_path / "m.cskm"
         write_matrix(path, mat)
         assert np.array_equal(read_matrix(path), mat)
+
+    def test_complex_special_values_roundtrip_bit_for_bit(self, tmp_path):
+        mat = special_values().reshape(4, 9)
+        path = tmp_path / "m.cskm"
+        write_matrix(path, mat)
+        back = read_matrix(path)
+        assert back.dtype == np.complex128
+        assert back.tobytes() == mat.tobytes()
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "m.cskm"
