@@ -136,18 +136,8 @@ def cmd_sweep(args, cfg: dict, out_dir: Path) -> int:
     )
     all_failed = all(res.failures == res.trials for res in results)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "cell_index": res.cell["cell_index"],
-                        "success_rate": res.success_rate,
-                        "median_final_error": res.median_final_error,
-                    }
-                    for res in results
-                ]
-            )
-        )
+        print(json.dumps([{"cell_index": res.cell["cell_index"], "success_rate": res.success_rate,
+                           "median_final_error": res.median_final_error} for res in results]))
     else:
         for res in results:
             print(
@@ -169,20 +159,9 @@ def cmd_rip(args, cfg: dict, out_dir: Path) -> int:
         for method in methods
     ]
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "r": est.r,
-                        "method": est.method,
-                        "delta_lower": est.delta_lower,
-                        "delta_exact": est.delta_exact,
-                        "trials": est.trials,
-                    }
-                    for est in estimates
-                ]
-            )
-        )
+        print(json.dumps([{"r": est.r, "method": est.method, "delta_lower": est.delta_lower,
+                           "delta_exact": est.delta_exact, "trials": est.trials}
+                          for est in estimates]))
     else:
         for est in estimates:
             exact = "exact" if est.method == "exhaustive" else f"lower bound ({est.trials} trials)"

@@ -369,10 +369,6 @@ def run_cell(cfg: dict, cell: dict, trials: int) -> CellResult:
     )
 
 
-def _run_cell_star(args) -> CellResult:
-    return run_cell(*args)
-
-
 def run_sweep(cfg: dict, jobs: int = 1) -> list[CellResult]:
     cells = sweep_cells(cfg)
     trials = int(cfg.get("trials", 1))
@@ -380,12 +376,11 @@ def run_sweep(cfg: dict, jobs: int = 1) -> list[CellResult]:
     for cell in cells:
         if cell["m"] > n:
             raise ConfigError(f"cell m={cell['m']} exceeds N={n}")
-    work = [(cfg, cell, trials) for cell in cells]
     if jobs <= 1 or len(cells) == 1:
-        results = [_run_cell_star(item) for item in work]
+        results = [run_cell(cfg, cell, trials) for cell in cells]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell_star, work))
+            results = list(pool.map(run_cell, [cfg] * len(cells), cells, [trials] * len(cells)))
     return sorted(results, key=lambda r: r.cell["cell_index"])
 
 

@@ -1,9 +1,9 @@
 """Least-squares solvers for the estimation step.
 
-Every solver sees Phi_T through one view, ``op.restricted(T)`` (see
-:class:`cosamp.operators.RestrictedView`), made once per solve.  Richardson's
-iteration and conjugate gradient need the normal product Phi_T* Phi_T z
-once per iteration.  When the operator offers a closed-form Gram
+Every solver sees Phi_T through one view (see :class:`cosamp.operators.RestrictedView`):
+``op.restricted(T)`` made once per solve, or the caller's own view of T (``view=``),
+which also gives the residual.  Richardson's iteration and conjugate gradient
+need the normal product Phi_T* Phi_T z once per iteration.  When the operator offers a closed-form Gram
 (``gram_sub``, e.g. partial Fourier) that product is a |T| x |T|
 matrix-vector multiply; otherwise it is one multiply each with Phi_T and
 Phi_T*, so the solvers compose with any matrix-free operator.  A dense
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import SamplingOperator
+from .operators import RestrictedView, SamplingOperator
 from .signals import SupportSet
 
 _DIVERGENCE_FACTOR = 10.0
@@ -81,11 +81,11 @@ class LsqResult:
         return self.residual() if callable(self.residual) else self.residual
 
 
-def _result(op: SamplingOperator, T: SupportSet, u, z, iterations) -> LsqResult:
+def _result(view: RestrictedView, u, z, iterations) -> LsqResult:
     if not isinstance(u, np.ndarray) or u.flags.writeable or not u.flags.owndata:
         u = np.array(u)  # a read-only array that owns its data needs no copy
     z.flags.writeable = False
-    return LsqResult(z, iterations, lambda: float(np.linalg.norm(u - op.apply_sub(T, z))))
+    return LsqResult(z, iterations, lambda: float(np.linalg.norm(u - view.apply(z))))
 
 
 def _prepare(op: SamplingOperator, T: SupportSet, u, z0) -> np.ndarray:
@@ -104,7 +104,7 @@ def _prepare(op: SamplingOperator, T: SupportSet, u, z0) -> np.ndarray:
 
 
 def richardson_solve(
-    op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3, proxy=None
+    op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3, proxy=None, view=None
 ) -> LsqResult:
     """Richardson iterates z <- Phi_T* u - (Phi_T* Phi_T - I) z.
 
@@ -113,7 +113,7 @@ def richardson_solve(
     result is flagged, and the caller decides what to do.
     """
     z = _prepare(op, T, u, z0)
-    view = op.restricted(T)
+    view = op.restricted(T) if view is None else view
     atu = view.rhs(u, proxy)
     initial_residual = float(np.linalg.norm(u - view.apply(z)))
     for _ in range(iterations):
@@ -124,7 +124,7 @@ def richardson_solve(
 
 
 def cg_solve(
-    op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3, proxy=None
+    op: SamplingOperator, T: SupportSet, u, z0=None, iterations: int = 3, proxy=None, view=None
 ) -> LsqResult:
     """Conjugate gradient on the normal equations Phi_T* Phi_T z = Phi_T* u.
 
@@ -133,7 +133,7 @@ def cg_solve(
     the exact solution).
     """
     z = _prepare(op, T, u, z0)
-    view = op.restricted(T)
+    view = op.restricted(T) if view is None else view
     atu = view.rhs(u, proxy)
     resid = atu - view.normal(z)
     direction = resid.copy()
@@ -153,10 +153,10 @@ def cg_solve(
         direction = resid + (rho_next / rho) * direction
         rho = rho_next
         used += 1
-    return _result(op, T, u, z, used)
+    return _result(view, u, z, used)
 
 
-def direct_solve(op: SamplingOperator, T: SupportSet, u, proxy=None) -> LsqResult:
+def direct_solve(op: SamplingOperator, T: SupportSet, u, proxy=None, view=None) -> LsqResult:
     """Exact pseudoinverse solve (Phi_T* Phi_T)^{-1} Phi_T* u.
 
     Reference oracle only: forms and factors the view's Gram (see
@@ -165,19 +165,20 @@ def direct_solve(op: SamplingOperator, T: SupportSet, u, proxy=None) -> LsqResul
     Gram eigenvalue falls at or below 1e-12.
     """
     _prepare(op, T, u, None)
-    view = op.restricted(T)
+    view = op.restricted(T) if view is None else view
     gram = view.gram()
     smallest = float(np.linalg.eigvalsh(gram)[0])
     if smallest <= 1e-12:
         raise RankDeficiencyError(smallest)
     z = np.linalg.solve(gram, view.rhs(u, proxy))
-    return _result(op, T, u, z, 1)
+    return _result(view, u, z, 1)
 
 
-def solve(op: SamplingOperator, T: SupportSet, u, z0, config: LsqConfig, proxy=None) -> LsqResult:
+def solve(op: SamplingOperator, T: SupportSet, u, z0, config: LsqConfig, proxy=None,
+          view=None) -> LsqResult:
     """Dispatch to the configured solver (z0 ignored by the direct path)."""
     if config.solver == "richardson":
-        return richardson_solve(op, T, u, z0, config.iterations, proxy)
+        return richardson_solve(op, T, u, z0, config.iterations, proxy, view)
     if config.solver == "cg":
-        return cg_solve(op, T, u, z0, config.iterations, proxy)
-    return direct_solve(op, T, u, proxy)
+        return cg_solve(op, T, u, z0, config.iterations, proxy, view)
+    return direct_solve(op, T, u, proxy, view)

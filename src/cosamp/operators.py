@@ -92,7 +92,8 @@ class SamplingOperator(abc.ABC):
 
 
 class RestrictedView:
-    """Phi_T of one operator on one support T, made once per solve.
+    """Phi_T of one operator on one support T, made once per solve, or once
+    while the recovery loop's T holds.
 
     ``apply`` / ``adjoint`` are the operator's ``apply_sub`` / ``adjoint_sub``
     on T and ``normal(z)`` is Phi_T* Phi_T z.  ``columns()`` is Phi_T as an
@@ -107,8 +108,11 @@ class RestrictedView:
         self.op, self.T, self._gram = op, T, None
         self._gram_sub = getattr(op, "gram_sub", None)
 
-    def apply(self, z) -> np.ndarray:
-        return self.op.apply_sub(self.T, z)
+    def apply(self, z, embedded=None) -> np.ndarray:
+        """Phi_T z; a closed-form kind applies ``embedded`` (z on T) instead of embedding z."""
+        if embedded is None or self._gram_sub is None:
+            return self.op.apply_sub(self.T, z)
+        return self.op.apply(embedded)
 
     def adjoint(self, v) -> np.ndarray:
         return self.op.adjoint_sub(self.T, v)
@@ -142,12 +146,13 @@ class _SlicedView(RestrictedView):
     """Dense Phi_T sliced once.  Each product is the BLAS call that
     ``apply_sub`` / ``adjoint_sub`` make on a fresh slice, so the results
     are theirs bit for bit; the columns are the slice.  ``normal`` takes
-    the solver's own iterates, so unlike ``apply`` it checks no length."""
+    the solver's own iterates, so unlike ``apply`` it checks no length.  The
+    slice keeps the gather's memory order, which decides BLAS's bits."""
 
-    def __init__(self, T: SupportSet, sub: np.ndarray):
-        self.T, self.sub, self.sub_h, self._gram_sub = T, sub, sub.conj().T, None
+    def __init__(self, op: SamplingOperator, T: SupportSet, sub: np.ndarray):
+        self.op, self.T, self.sub, self.sub_h, self._gram_sub = op, T, sub, sub.conj().T, None
 
-    def apply(self, z) -> np.ndarray:
+    def apply(self, z, embedded=None) -> np.ndarray:
         return self.sub @ _check_length(z, len(self.T), "coefficients")
 
     def adjoint(self, v) -> np.ndarray:
@@ -220,7 +225,7 @@ class DenseOperator(SamplingOperator):
         if (cls.apply_sub, cls.adjoint_sub) != (DenseOperator.apply_sub, DenseOperator.adjoint_sub):
             return super().restricted(T)
         self._check_support(T)
-        return _SlicedView(T, self.matrix[:, T.indices])
+        return _SlicedView(self, T, self.matrix[:, T.indices])
 
     def materialize(self) -> np.ndarray:
         return np.array(self.matrix)

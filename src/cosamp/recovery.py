@@ -2,9 +2,10 @@
 
 Each iteration forms the proxy y = Phi* v, identifies the largest proxy
 components, merges their support with the current approximation's, solves
-a least-squares problem on the merged support against the ORIGINAL
+a least-squares problem on the merged support T against the ORIGINAL
 samples, prunes the estimate back to s terms, and updates the current
-samples v = u - Phi a so they reflect the residual.
+samples v = u - Phi_T a_T so they reflect the residual.  The solve and the
+update share one view of Phi_T, which the next iteration reuses while T holds.
 
 Halting is composable: any rule firing stops the loop.  The proxy
 infinity-norm rule is evaluated on the proxy already computed that
@@ -25,7 +26,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .lsq import LsqConfig, LsqResult, solve
-from .operators import SamplingOperator
+from .operators import RestrictedView, SamplingOperator
 from .signals import (SupportSet, _neg_abs, _select, as_samples, best_s_approx, embed, restrict,
                       support_of)
 
@@ -114,8 +115,8 @@ class RecoveryState:
 
     ``support`` is supp(a) as the prune chose it, so that no later step
     rescans a; None means not known, and the loop then takes it from a.
-    Only the loop sets it: a state built by hand or by
-    ``dataclasses.replace`` starts with None.
+    ``view`` is the Phi_T that made b and v, for the next iteration's T if
+    equal.  Only the loop sets these two; ``dataclasses.replace`` drops them.
     """
 
     k: int
@@ -129,6 +130,7 @@ class RecoveryState:
     b: np.ndarray | None
     lsq_result: LsqResult | None = None
     support: SupportSet | None = field(default=None, init=False)
+    view: RestrictedView | None = field(default=None, init=False)
 
 
 def _support(state: RecoveryState) -> SupportSet:
@@ -192,13 +194,14 @@ def _merge(state: RecoveryState, y_neg, omega: SupportSet, width: int) -> Suppor
 
 
 def _estimate(
-    op, u, c, y, state: RecoveryState, omega: SupportSet, T: SupportSet, config: RecoveryConfig
+    op, u, c, y, state: RecoveryState, omega: SupportSet, view: RestrictedView, config
 ) -> tuple[np.ndarray, LsqResult | None]:
-    """Standard estimate: least squares on T against the original samples u and
-    the proxy c = Phi* u (None if unknown), warm-started from a restricted to T."""
+    """Standard estimate: least squares on ``view`` = Phi_T against the original samples
+    u and the proxy c = Phi* u (None if unknown), warm-started from a restricted to T."""
+    T = view.T
     if len(T) == 0:
         return np.zeros_like(state.a), None
-    result = solve(op, T, u, state.a[T.indices], config.lsq, c)
+    result = solve(op, T, u, state.a[T.indices], config.lsq, c, view)
     return embed(result.coefficients, T), result
 
 
@@ -226,11 +229,12 @@ def _iterate(
     returns the new state and ||v||_2.
 
     ``merge(state, y_neg, omega, prune_width)`` returns the estimation
-    support T and ``estimate(op, u, c, y, state, omega, T, config)`` the
+    support T and ``estimate(op, u, c, y, state, omega, view, config)`` the
     pre-prune estimate b, zero off T (so the prune ranks b on T alone), with
     its solver result; they are the only steps in which the loop variants
-    differ.  Step times in microseconds go into ``times``.  A solver
-    ``LinAlgError`` or a non-finite estimate raises :class:`SolverFailure`.
+    differ; ``view`` is Phi_T, which the update applies too.  Step times in
+    microseconds go into ``times``.  A solver ``LinAlgError`` or a
+    non-finite estimate raises :class:`SolverFailure`.
     """
     tick = time.perf_counter_ns()
     identify_width, prune_width = config.widths(op.n)
@@ -238,8 +242,11 @@ def _iterate(
     tick = _lap(times, "identify", tick)
     T = merge(state, y_neg, omega, prune_width)
     tick = _lap(times, "merge", tick)
+    view = state.view
+    if view is None or view.op is not op or view.T != T:
+        view = op.restricted(T)
     try:
-        b, lsq_result = estimate(op, u, c, y, state, omega, T, config)
+        b, lsq_result = estimate(op, u, c, y, state, omega, view, config)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(state.k + 1, exc) from exc
     if lsq_result is not None and not np.isfinite(lsq_result.coefficients).all():
@@ -251,11 +258,12 @@ def _iterate(
     a_next = embed(kept, T)
     support = SupportSet._trusted(T.indices[chosen.indices], op.n)
     tick = _lap(times, "prune", tick)
-    v_next = u - op.apply(a_next)
+    v_next = u - view.apply(kept, a_next)
     v_norm = float(np.linalg.norm(v_next))
     state = RecoveryState(state.k + 1, state.s, a_next, state.a, v_next, y, omega, T, b,
                           lsq_result)
     object.__setattr__(state, "support", support)
+    object.__setattr__(state, "view", view)
     _lap(times, "update", tick)
     return state, v_norm
 

@@ -157,7 +157,9 @@ def rip_estimate(
     """Estimate delta_r exhaustively or by Monte Carlo support sampling.
 
     Exhaustive mode enumerates all C(N, r) supports and is exact; it raises
-    :class:`RipBudgetError` when the count exceeds ``budget``.  Monte Carlo
+    :class:`RipBudgetError` when the count exceeds ``budget``, which counts
+    supports, not work: near r = N the pruning can solve every support, so
+    r = 27 on a 24 x 32 Gaussian (201,376 supports) takes about 9 s.  Monte Carlo
     samples ``trials`` supports with per-trial derived seeds and returns the
     max deviation seen, which is a certified lower bound on delta_r.  The
     method and the budget are checked before the Gram matrix is built.

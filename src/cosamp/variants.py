@@ -33,7 +33,7 @@ def recover_residual_variant(
     return _drive(op, u, config, truth, noise, _merge, _residual_estimate)
 
 
-def _residual_estimate(op, u, c, y, state, omega: SupportSet, T, config: RecoveryConfig):
+def _residual_estimate(op, u, c, y, state, omega: SupportSet, view, config: RecoveryConfig):
     if len(omega) == 0:
         return state.a.copy(), None
     result = solve(op, omega, state.v, None, config.lsq, y)  # y = Phi* v

@@ -232,13 +232,16 @@ class TestRecover:
                                     cosamp.partial_fourier_operator(16, 64, seed=3)],
                              ids=["gaussian", "partial_fourier"])
     def test_trace_v_norm_is_the_residual_norm(self, op):
-        # the row's v_norm is ||u - Phi a_k||_2 of that iteration's a_k, bit for bit
+        # the row's v_norm is ||u - Phi_T a_k||_2 of that iteration's T and a_k, bit for bit
         x, _, u = planted_instance(op, 2, seed=50, noise_norm=0.01)
         report = recover(op, u, RecoveryConfig(s=2, halting=FixedIterations(5)), truth=x)
         assert [row.k for row in report.trace] == [1, 2, 3, 4, 5]
+        state = initial_state(op, u, 2)
         for row in report.trace:
+            state = cosamp_iteration(state, op, u, RecoveryConfig(s=2))
             a_k = recover(op, u, RecoveryConfig(s=2, halting=FixedIterations(row.k))).approximation
-            assert row.v_norm == float(np.linalg.norm(u - op.apply(a_k)))
+            T_k = state.T
+            assert row.v_norm == float(np.linalg.norm(u - op.apply_sub(T_k, a_k[T_k.indices])))
 
     def test_wrong_sample_length_rejected(self):
         op = cosamp.gaussian_operator(16, 64, seed=3)
@@ -475,7 +478,9 @@ class TestOneEngine:
                 report = recover(op, u, RecoveryConfig(s=3, halting=FixedIterations(k)))
             assert report.iterations_run == k
             assert np.array_equal(report.approximation, state.a)
-            assert np.array_equal(u - op.apply(report.approximation), state.v)
+            T_k = state.T
+            assert np.array_equal(u - op.apply_sub(T_k, report.approximation[T_k.indices]),
+                                  state.v)
             assert report.trace[-1].v_norm == float(np.linalg.norm(state.v))
             assert merged[-1] == state.T
 
@@ -534,11 +539,11 @@ class TestFrozenOutputs:
                 "0x1.0005e0c697648p+0", "-0x1.000fd86c44fb9p+0",
             ],
             "trace": [
-                ("0x1.5d860a870c625p-4", "0x1.6acf7f77be6a1p+0",
+                ("0x1.5d860a870c626p-4", "0x1.6acf7f77be6a1p+0",
                  "0x1.d10139d9c33cep-4", "0x1.69726edb21260p-4"),
                 ("0x1.58c8bbc5c509ap-7", "0x1.7acdd54464cb2p-5",
                  "0x1.5892bd04894fbp-7", "0x1.4ef26e46c4600p-7"),
-                ("0x1.f76ac018d5c57p-8", "0x1.807ba92e0a34fp-8",
+                ("0x1.f76ac018d5c35p-8", "0x1.807ba92e0a376p-8",
                  "0x1.ce0c928fa5714p-9", "0x1.cb8c07f5e5100p-9"),
             ],
         },
@@ -553,9 +558,9 @@ class TestFrozenOutputs:
             "trace": [
                 ("0x1.b5215665c82fcp-3", "0x1.c27d6b912ca84p+0",
                  "0x1.9da4318b5f3b9p-3", "0x1.176875057b300p-3"),
-                ("0x1.cd9e107735376p-6", "0x1.28450b340488dp-3",
+                ("0x1.cd9e107735381p-6", "0x1.28450b340488dp-3",
                  "0x1.b2d90f211e62cp-6", "0x1.1db3e3eee6de2p-6"),
-                ("0x1.1aef4b283b9d7p-8", "0x1.3a72a6bddf6dbp-6",
+                ("0x1.1aef4b283b9acp-8", "0x1.3a72a6bddf6e1p-6",
                  "0x1.061ee17755d08p-8", "0x1.721b38082bb4dp-9"),
             ],
         },
@@ -669,6 +674,18 @@ def _report_bits(report):
     )
 
 
+def dense_instances():
+    """A real Gaussian and a complex dense 48 x 128 instance, 5-sparse and noisy."""
+    gauss = cosamp.gaussian_operator(48, 128, seed=61)
+    x = cosamp.make_sparse(128, 5, "exponential", alpha=0.7, position_seed=62, sign_seed=63)
+    mat = prng.complex_normals(64, 48 * 128).reshape(48, 128) / np.sqrt(48)
+    z = cosamp.embed(prng.complex_normals(65, 5), SupportSet(np.array([3, 40, 41, 90, 127]), 128))
+    return [
+        (gauss, x, gauss.apply(x) + 1e-2 * prng.normals(66, 48)),
+        (cosamp.dense_operator(mat), z, mat @ z + 1e-2 * prng.complex_normals(67, 48)),
+    ]
+
+
 LOOPS = {
     "standard": recover,
     "residual": cosamp.recover_residual_variant,
@@ -703,13 +720,15 @@ class TestTwoProductIteration:
     @pytest.mark.parametrize("solver", ["cg", "richardson", "direct"])
     @pytest.mark.parametrize("loop", LOOPS, ids=str)
     def test_forwarded_runs_equal_bare_runs(self, loop, solver):
-        op, x, u = self.instance(noisy=True)
+        # a wrapped dense operator gets the generic view, not the slice:
+        # its products, and so its bits, must still be the slice's
         cfg = RecoveryConfig(
             s=5, halting=[SampleNorm(1e-9), FixedIterations(5)], lsq=LsqConfig(solver=solver)
         )
-        bare = LOOPS[loop](op, u, cfg, truth=x)
-        forwarded = LOOPS[loop](Counting(op), u, cfg, truth=x)
-        assert _report_bits(forwarded) == _report_bits(bare)
+        for op, x, u in (self.instance(noisy=True), *dense_instances()):
+            bare = LOOPS[loop](op, u, cfg, truth=x)
+            forwarded = LOOPS[loop](Counting(op), u, cfg, truth=x)
+            assert _report_bits(forwarded) == _report_bits(bare)
 
     @pytest.mark.parametrize("loop", ["standard", "residual"])
     def test_proxy_right_hand_side_is_adjoint_sub(self, loop, monkeypatch):
@@ -720,11 +739,11 @@ class TestTwoProductIteration:
         op, x, u = self.instance(noisy=True)
         checked = []
 
-        def spy(op_, T, samples, z0, config, proxy=None):
+        def spy(op_, T, samples, z0, config, proxy=None, view=None):
             assert proxy is not None
             assert np.array_equal(proxy[T.indices], op_.adjoint_sub(T, samples))
             checked.append(len(T))
-            return lsq.solve(op_, T, samples, z0, config, proxy)
+            return lsq.solve(op_, T, samples, z0, config, proxy, view)
 
         module = cosamp.recovery if loop == "standard" else variants
         monkeypatch.setattr(module, "solve", spy)
@@ -769,3 +788,59 @@ class TestTwoProductIteration:
             a, supp = cosamp.best_s_approx(state.b, 6)
             assert np.array_equal(state.a, a) and state.a.dtype == a.dtype
             assert state.support == supp
+
+
+class TestCarriedView:
+    """The loop makes T's view of Phi_T once per iteration, hands it to the
+    solve and to the update v = u - Phi_T a_T, and reuses it while T holds."""
+
+    @staticmethod
+    def step(op, u, iterations):
+        """The states of ``iterations`` steps, and how many reused their view."""
+        state, states, reused = initial_state(op, u, 5), [], 0
+        for _ in range(iterations):
+            carried = state.view
+            state = cosamp_iteration(state, op, u, RecoveryConfig(s=5))
+            states.append(state)
+            reused += state.view is carried
+        return states, reused
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["gaussian", "complex_dense"])
+    def test_reused_slice_is_the_fresh_gather(self, which):
+        # BLAS picks its kernel by memory order, so a reused slice must be the
+        # F-ordered array that matrix[:, T] gives, not a copy in another order
+        op, _, u = dense_instances()[which]
+        states, reused = self.step(op, u, 12)
+        assert reused >= 2
+        for state in states:
+            fresh = op.matrix[:, state.T.indices]
+            assert np.array_equal(state.view.sub, fresh)
+            assert state.view.sub.flags.f_contiguous and fresh.flags.f_contiguous
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["gaussian", "complex_dense"])
+    def test_stepping_with_a_carried_view_matches_recover(self, which):
+        op, _, u = dense_instances()[which]
+        states, reused = self.step(op, u, 12)
+        assert reused >= 2
+        for k, state in enumerate(states, start=1):
+            report = recover(op, u, RecoveryConfig(s=5, halting=FixedIterations(k)))
+            assert np.array_equal(report.approximation, state.a)
+            assert report.trace[-1].v_norm == float(np.linalg.norm(state.v))
+
+    @pytest.mark.parametrize("loop", LOOPS, ids=str)
+    def test_k_iterations_make_k_full_products(self, loop):
+        # the proxy is the one full product; the solve and the update use Phi_T
+        op, _, u = dense_instances()[0]
+        counted = Counting(op)
+        report = LOOPS[loop](counted, u, RecoveryConfig(s=5, halting=FixedIterations(6)))
+        assert report.iterations_run == 6
+        assert counted.calls["adjoint"] == 6 and "apply" not in counted.calls
+
+    def test_a_view_is_not_reused_on_another_operator(self):
+        op, _, u = dense_instances()[0]
+        state = self.step(op, u, 12)[0][-1]
+        other = cosamp.dense_operator(2.0 * op.matrix)
+        stepped = cosamp_iteration(state, other, u, RecoveryConfig(s=5))
+        fresh = cosamp_iteration(dataclasses.replace(state), other, u, RecoveryConfig(s=5))
+        assert stepped.view is not state.view
+        assert np.array_equal(stepped.v, fresh.v) and np.array_equal(stepped.a, fresh.a)
