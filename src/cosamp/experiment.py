@@ -87,6 +87,10 @@ def load_config(path) -> dict:
     version = cfg.get("version")
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version!r}, expected {CONFIG_VERSION!r}")
+    for name in ("operator", "signal", "noise", "recovery"):
+        section = cfg.get(name, {})
+        if not isinstance(section, dict) and not (section is None and name == "noise"):
+            raise ConfigError(f"config section {name!r} must be an object, got {section!r}")
     return cfg
 
 

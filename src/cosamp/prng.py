@@ -16,6 +16,13 @@ platforms.  The generation pipeline is pinned:
 * Derived seeds (per sweep cell, per trial) come from ``mix_seed``, a
   SplitMix64 fold of the master seed and the index tuple.
 
+Single streams, however long, come from numpy's ``Philox``, whose C code is
+the fast path and the reference.  Many short streams at once
+(:func:`sample_many`, one per Monte Carlo trial) are computed in one numpy
+pass instead: Philox block b of key k is a pure function of (k, b), so
+:func:`raw_words_many` evaluates the same rounds over a whole key vector and
+gives the same words, bit for bit, as one ``numpy.random.Philox`` per key.
+
 Changing any of these choices invalidates stored fixtures, so don't.
 """
 
@@ -26,19 +33,25 @@ import threading
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# Philox-4x64 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# int64 entries in one chunk of sample_many's trials x n shuffle table (2 MB)
+_TABLE_ENTRIES = 1 << 18
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """One SplitMix64 step: returns (next_state, output_word)."""
-    state = (state + _GOLDEN) & _MASK64
-    z = state
+def _splitmix64(state):
+    """SplitMix64's output word for ``state``: a Python int or a uint64 array
+    (whose multiplies wrap modulo 2**64, as the masks do for ints)."""
+    z = (state + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    z = z ^ (z >> 31)
-    return state, z
+    return z ^ (z >> 31)
 
 
 def mix_seed(*parts: int) -> int:
@@ -49,9 +62,7 @@ def mix_seed(*parts: int) -> int:
     """
     state = 0
     for part in parts:
-        state = (state ^ (int(part) & _MASK64)) & _MASK64
-        state, out = splitmix64(state)
-        state = out
+        state = _splitmix64(state ^ (int(part) & _MASK64))
     return state
 
 
@@ -71,6 +82,39 @@ def raw_words(seed: int, count: int) -> np.ndarray:
     _local.fresh["state"]["key"][0] = int(seed) & _MASK64
     _local.philox.state = _local.fresh
     return _local.philox.random_raw(count)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products a * b, b a uint64 array;
+    the high word is summed from 32-bit half products, none of which overflows."""
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo, b_hi = b & np.uint64(_MASK32), b >> np.uint64(32)
+    mid = ((a_lo * b_lo) >> np.uint64(32)) + a_lo * b_hi
+    high = a_hi * b_lo + (mid & np.uint64(_MASK32))
+    return a * b, a_hi * b_hi + (mid >> np.uint64(32)) + (high >> np.uint64(32))
+
+
+def raw_words_many(keys: np.ndarray, count: int) -> np.ndarray:
+    """Row i is ``raw_words(keys[i], count)``, computed for every key at once.
+
+    Philox-4x64-10 runs on key (k, 0) over block counters 1, 2, ..., as
+    numpy's ``Philox`` numbers them.  The state is laid out blocks x keys, so
+    every operation runs along the long key axis, and a lane starts as the
+    shared counter row and widens to every key only when a key enters it.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    blocks = -(-count // 4)
+    k0, k1 = keys, 0
+    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    x1 = x2 = x3 = np.zeros_like(x0)
+    for round_ in range(_PHILOX_ROUNDS):
+        if round_:
+            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), (k1 + _PHILOX_W[1]) & _MASK64
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)  # blocks x keys x 4
+    return words.transpose(1, 0, 2).reshape(keys.size, 4 * blocks)[:, :count]
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
@@ -130,6 +174,33 @@ def sample_without_replacement(seed: int, n: int, m: int) -> np.ndarray:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     picked = _fisher_yates(seed, n, min(m, n - 1))[:m]
     return np.sort(np.array(picked, dtype=np.int64))
+
+
+def sample_many(seed: int, trials: int, n: int, m: int) -> np.ndarray:
+    """Row t is ``sample_without_replacement(mix_seed(seed, t), n, m)``, t < ``trials``.
+
+    The trial seeds are one SplitMix64 fold over a uint64 vector, their words
+    come from :func:`raw_words_many`, and the truncated Fisher-Yates runs as
+    swap i at once in every row of a trials x n table, in chunks of trials
+    that keep the table near 2 MB.
+    """
+    if trials < 0 or not 0 <= m <= n:
+        raise ValueError(f"need trials >= 0 and 0 <= m <= n, got trials={trials}, m={m}, n={n}")
+    steps = max(min(m, n - 1), 0)
+    base = np.uint64(mix_seed(seed))
+    chunk = max(1, _TABLE_ENTRIES // max(n, 1))
+    out = np.empty((trials, m), dtype=np.int64)
+    for start in range(0, trials, chunk):
+        keys = _splitmix64(np.arange(start, min(trials, start + chunk), dtype=np.uint64) ^ base)
+        offsets = raw_words_many(keys, steps) % np.arange(n, n - steps, -1, dtype=np.uint64)
+        table = np.tile(np.arange(n, dtype=np.int64), (keys.size, 1))
+        flat = table.reshape(-1)
+        # flat index of the entry (row, i + offset) that swap i trades with (row, i)
+        targets = offsets.astype(np.int64) + np.arange(steps) + n * np.arange(keys.size)[:, None]
+        for i in range(steps):
+            table[:, i], flat[targets[:, i]] = flat[targets[:, i]], table[:, i].copy()
+        out[start : start + keys.size] = np.sort(table[:, :m], axis=1)
+    return out
 
 
 def signs(seed: int, count: int) -> np.ndarray:

@@ -160,9 +160,12 @@ def rip_estimate(
     :class:`RipBudgetError` when the count exceeds ``budget``, which counts
     supports, not work: near r = N the pruning can solve every support, so
     r = 27 on a 24 x 32 Gaussian (201,376 supports) takes about 9 s.  Monte Carlo
-    samples ``trials`` supports with per-trial derived seeds and returns the
-    max deviation seen, which is a certified lower bound on delta_r.  The
-    method and the budget are checked before the Gram matrix is built.
+    samples ``trials`` >= 1 supports, trial t's being
+    ``sample_without_replacement(mix_seed(seed, t), N, r)``, and returns the
+    max deviation seen, which is a certified lower bound on delta_r.  All
+    trials are drawn in one batched pass, :func:`prng.sample_many`, which gives
+    those same supports bit for bit.  The method, the budget and the trial
+    count are checked before the Gram matrix is built.
 
     Both modes return the largest ||G_S - I||_2 over their supports but
     solve an eigenproblem only for supports whose cheap upper bound, the
@@ -182,12 +185,9 @@ def rip_estimate(
         delta = _max_deviation_over(_full_gram(op), _combinations(op.n, r))
         return RipEstimate(r, delta, delta, "exhaustive")
     if method == "monte_carlo":
-        supports = np.empty((trials, r), dtype=np.int64)
-        for t in range(trials):
-            supports[t] = prng.sample_without_replacement(
-                prng.mix_seed(seed, t), op.n, r
-            )
-        delta = _max_deviation_over(_full_gram(op), supports)
+        if trials < 1:
+            raise ValueError(f"need trials >= 1, got trials={trials}")
+        delta = _max_deviation_over(_full_gram(op), prng.sample_many(seed, trials, op.n, r))
         return RipEstimate(r, delta, None, "monte_carlo", trials=trials, seed=seed)
     raise ValueError(f"unknown method {method!r}")
 

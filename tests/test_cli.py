@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cosamp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from cosamp.serialize import dump_json, read_signal
@@ -166,6 +167,43 @@ class TestRipCommand:
         ])
         assert code == EXIT_SOLVER
         assert "monte_carlo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_monte_carlo_without_trials_is_a_config_error(self, tmp_path, capsys, trials):
+        cfg = {"version": "config_v1", "operator": {"kind": "gaussian", "m": 8, "n": 16, "seed": 1}}
+        path = write_config(tmp_path, cfg)
+        code = main([
+            "rip", "--config", str(path), "--out", str(tmp_path),
+            "--r", "3", "--method", "monte-carlo", "--trials", trials,
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "trials" in err
+
+
+class TestMalformedSections:
+    @pytest.mark.parametrize(
+        "command", [["recover"], ["sweep"], ["rip", "--r", "2"], ["gen-signal"]], ids=lambda c: c[0]
+    )
+    @pytest.mark.parametrize("value", [5, [1], "gaussian"])
+    @pytest.mark.parametrize("section", ["operator", "signal", "noise", "recovery"])
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, section, value, command):
+        cfg = json.loads(FIXTURE.read_text())
+        cfg[section] = value
+        path = write_config(tmp_path, cfg)
+        code = main(command + ["--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(section) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section", ["operator", "signal", "recovery"])
+    def test_null_section_other_than_noise(self, tmp_path, capsys, section):
+        cfg = json.loads(FIXTURE.read_text())
+        cfg[section] = None
+        path = write_config(tmp_path, cfg)
+        assert main(["recover", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: config section {section!r}")
 
 
 class TestBenchCommand:

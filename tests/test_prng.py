@@ -161,3 +161,40 @@ def test_raw_words_from_two_threads():
     finally:
         sys.setswitchinterval(interval)
     assert results["a"] == results["b"] == [want] * 3
+
+
+def test_raw_words_many_match_fresh_generators():
+    # numpy's Philox is the oracle; its words form a prefix-stable stream, so
+    # one 13-word draw per key checks every count from 0 to 13
+    keys = np.concatenate([
+        prng.raw_words(321, 10_000),
+        np.array([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+    ])
+    want = np.stack([fresh_philox_words(k, 13) for k in keys.tolist()])
+    for count in range(14):
+        got = prng.raw_words_many(keys, count)
+        assert got.dtype == np.uint64 and got.shape == (keys.size, count)
+        assert np.array_equal(got, want[:, :count]), count
+
+
+@pytest.mark.parametrize("table_entries", [1 << 18, 600], ids=["one_chunk", "many_chunks"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 128, 300])
+def test_sample_many_rows_are_per_trial_draws(n, table_entries, monkeypatch):
+    monkeypatch.setattr(prng, "_TABLE_ENTRIES", table_entries)
+    trials = 25
+    for seed in (0, 13, -1, 2**70, 2**64 - 1):
+        for m in sorted({0, 1, n - 1, n}):
+            got = prng.sample_many(seed, trials, n, m)
+            assert got.dtype == np.int64 and got.shape == (trials, m)
+            for t in range(trials):
+                want = prng.sample_without_replacement(prng.mix_seed(seed, t), n, m)
+                assert np.array_equal(got[t], want), (seed, n, m, t)
+
+
+def test_sample_many_zero_trials_and_bounds():
+    empty = prng.sample_many(3, 0, 10, 4)
+    assert empty.shape == (0, 4) and empty.dtype == np.int64
+    with pytest.raises(ValueError):
+        prng.sample_many(3, 5, 4, 5)
+    with pytest.raises(ValueError):
+        prng.sample_many(3, -1, 4, 2)

@@ -282,6 +282,32 @@ class TestFailsBeforeTheGram:
         with pytest.raises(ValueError, match="unknown method"):
             rip_estimate(MaterializeForbidden(), 2, "sampling")
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_monte_carlo_needs_a_trial_and_says_so_first(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            rip_estimate(MaterializeForbidden(), 2, "monte_carlo", trials=trials)
+
+
+class TestBatchedDraws:
+    def test_monte_carlo_makes_no_per_trial_draw(self, monkeypatch):
+        op = gaussian_operator(16, 32, seed=2)
+        calls = {"mix_seed": 0, "raw_words": 0, "sample_without_replacement": 0}
+
+        def counted(name):
+            inner = getattr(prng, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(prng, name, counted(name))
+        rip_estimate(op, 3, "monte_carlo", trials=2000, seed=4)
+        assert calls["raw_words"] == calls["sample_without_replacement"] == 0
+        assert calls["mix_seed"] <= 1
+
 
 class TestConsequences:
     def test_identity_all_pass_with_slack(self):
