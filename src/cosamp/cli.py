@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, serialize
-from .experiment import ConfigError
 from .recovery import SolverFailure
 from .rip import RipBudgetError, rip_estimate
 
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
     except (SolverFailure, RipBudgetError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, ValueError, KeyError) as exc:
+    except ValueError as exc:  # experiment.ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -129,7 +128,7 @@ def cmd_recover(args, cfg: dict, out_dir: Path) -> int:
 
 def cmd_sweep(args, cfg: dict, out_dir: Path) -> int:
     results = experiment.run_sweep(cfg, jobs=args.jobs)
-    n = int(cfg["signal"]["n"])
+    n = experiment.signal_length(cfg)
     (out_dir / "sweep.csv").write_text(experiment.sweep_csv(results, n), encoding="utf-8")
     (out_dir / "sweep_timing.csv").write_text(
         experiment.sweep_timing_csv(results), encoding="utf-8"
@@ -155,7 +154,7 @@ def cmd_rip(args, cfg: dict, out_dir: Path) -> int:
     ]
     estimates = [
         rip_estimate(op, args.r, method, budget=args.budget, trials=args.trials,
-                     seed=int(cfg.get("master_seed", 0)))
+                     seed=experiment.master_seed(cfg))
         for method in methods
     ]
     if args.json:
@@ -170,20 +169,7 @@ def cmd_rip(args, cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_bench(args, cfg: dict, out_dir: Path) -> int:
-    bench = cfg.get("bench")
-    if not bench:
-        raise ConfigError("config has no 'bench' section")
-    rows = []
-    for scenario in bench.get("scenarios", []):
-        op = experiment.build_operator(scenario["operator"])
-        label = scenario.get("label", f"{scenario['operator']['kind']}_n{op.n}")
-        medians = experiment.bench_operator(
-            op,
-            int(scenario.get("s", bench.get("s", 8))),
-            int(scenario.get("iterations", bench.get("iterations", 5))),
-            int(cfg.get("master_seed", 0)),
-        )
-        rows.append((label, medians))
+    rows = experiment.bench_rows(cfg)
     csv_text = experiment.bench_csv(rows)
     (out_dir / "bench.csv").write_text(csv_text, encoding="utf-8")
     if args.json:
@@ -194,7 +180,7 @@ def cmd_bench(args, cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_gen_signal(args, cfg: dict, out_dir: Path) -> int:
-    master = int(cfg.get("master_seed", 0))
+    master = experiment.master_seed(cfg)
     signal = experiment.build_signal(cfg["signal"], experiment.signal_seeds(master, 0, 0))
     serialize.write_signal(out_dir / "signal.csk1", signal)
     if args.json:

@@ -19,6 +19,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -67,15 +68,25 @@ class ConfigError(ValueError):
     pass
 
 
+@contextmanager
+def _reading(path: str):
+    """Report an error raised while reading the config value at ``path`` as a
+    ConfigError naming it; the paths of nested reads join with dots."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError, AttributeError, OSError) as exc:
+        joint = "." if isinstance(exc, ConfigError) else ": "
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{path}{joint}{detail}") from exc
+
+
 def _fmt(value: float) -> str:
     return "%.12e" % float(value)
 
 
 def load_config(path) -> dict:
-    try:
+    with _reading("config file"):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -87,8 +98,9 @@ def load_config(path) -> dict:
     version = cfg.get("version")
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version!r}, expected {CONFIG_VERSION!r}")
+    # an absent section reads as empty, so that its builder names what it lacks
     for name in ("operator", "signal", "noise", "recovery"):
-        section = cfg.get(name, {})
+        section = cfg.setdefault(name, {})
         if not isinstance(section, dict) and not (section is None and name == "noise"):
             raise ConfigError(f"config section {name!r} must be an object, got {section!r}")
     return cfg
@@ -96,49 +108,56 @@ def load_config(path) -> dict:
 
 def parse_halting(entries) -> list:
     rules = []
-    for entry in entries or []:
-        kind = entry.get("kind")
-        if kind == "fixed_iterations":
-            rules.append(FixedIterations(int(entry["count"])))
-        elif kind == "sample_norm":
-            rules.append(SampleNorm(float(entry["epsilon"])))
-        elif kind == "proxy_infinity_norm":
-            rules.append(ProxyInfinityNorm(float(entry["eta"])))
-        else:
-            raise ConfigError(f"unknown halting rule kind {kind!r}")
+    for index, entry in enumerate(entries or []):
+        with _reading(f"halting[{index}]"):
+            kind = entry.get("kind")
+            if kind == "fixed_iterations":
+                rules.append(FixedIterations(int(entry["count"])))
+            elif kind == "sample_norm":
+                rules.append(SampleNorm(float(entry["epsilon"])))
+            elif kind == "proxy_infinity_norm":
+                rules.append(ProxyInfinityNorm(float(entry["eta"])))
+            else:
+                raise ValueError(f"unknown halting rule kind {kind!r}")
     return rules
 
 
 def parse_recovery(cfg: dict) -> RecoveryConfig:
-    try:
-        lsq_cfg = cfg.get("lsq", {})
+    with _reading("recovery"):
         # These keys once changed the algorithm; a run that ignored them
         # would look valid but not be the run the config asked for.
         for key in ("identify_width", "prune_width"):
             if cfg.get(key) is not None:
-                raise ConfigError(f"{key} is fixed: the loop identifies 2s and prunes to s")
-        if lsq_cfg.get("warm_start", "current") != "current":
-            raise ConfigError("lsq.warm_start is fixed: solves start from the current estimate")
-        lsq = LsqConfig(
-            solver=lsq_cfg.get("solver", "cg"),
-            iterations=int(lsq_cfg.get("iterations", 3)),
-        )
+                raise ValueError(f"{key} is fixed: the loop identifies 2s and prunes to s")
+        with _reading("lsq"):
+            lsq_cfg = cfg.get("lsq", {})
+            if lsq_cfg.get("warm_start", "current") != "current":
+                raise ValueError("warm_start is fixed: solves start from the current estimate")
+            lsq = LsqConfig(
+                solver=lsq_cfg.get("solver", "cg"),
+                iterations=int(lsq_cfg.get("iterations", 3)),
+            )
         return RecoveryConfig(
             s=int(cfg["s"]),
             halting=parse_halting(cfg.get("halting")),
             max_iterations=cfg.get("max_iterations"),
             lsq=lsq,
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid recovery section: {exc}") from exc
 
 
 def build_operator(desc: dict) -> SamplingOperator:
-    desc = dict(desc)
-    try:
-        return operator_from_descriptor(desc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid operator descriptor: {exc}") from exc
+    with _reading("operator"):
+        return operator_from_descriptor(dict(desc))
+
+
+def master_seed(cfg: dict) -> int:
+    with _reading("master_seed"):
+        return int(cfg.get("master_seed", 0))
+
+
+def signal_length(cfg: dict) -> int:
+    with _reading("signal.n"):
+        return int(cfg["signal"]["n"])
 
 
 def signal_seeds(master: int, cell_index: int, trial_index: int) -> tuple[int, ...]:
@@ -150,48 +169,52 @@ def signal_seeds(master: int, cell_index: int, trial_index: int) -> tuple[int, .
 def build_signal(spec: dict, seeds: tuple[int, int, int]) -> np.ndarray:
     """Instantiate the signal model; explicit per-spec seeds win over derived."""
     position_seed, sign_seed, permutation_seed = seeds
-    kind = spec.get("kind")
-    if kind == "sparse":
-        return make_sparse(
-            int(spec["n"]),
-            int(spec["s"]),
-            spec.get("law", "flat"),
-            alpha=float(spec.get("alpha", 0.5)),
-            magnitudes=spec.get("magnitudes"),
-            scale=float(spec.get("scale", 1.0)),
-            position_seed=int(spec.get("position_seed", position_seed)),
-            sign_seed=int(spec.get("sign_seed", sign_seed)),
-        )
-    if kind == "compressible":
-        return make_compressible(
-            CompressibleSpec(
-                p=float(spec["p"]),
-                magnitude=float(spec.get("magnitude", 1.0)),
-                n=int(spec["n"]),
+    with _reading("signal"):
+        kind = spec.get("kind")
+        if kind == "sparse":
+            return make_sparse(
+                int(spec["n"]),
+                int(spec["s"]),
+                spec.get("law", "flat"),
+                alpha=float(spec.get("alpha", 0.5)),
+                magnitudes=spec.get("magnitudes"),
+                scale=float(spec.get("scale", 1.0)),
+                position_seed=int(spec.get("position_seed", position_seed)),
                 sign_seed=int(spec.get("sign_seed", sign_seed)),
-                permutation_seed=int(spec.get("permutation_seed", permutation_seed)),
             )
-        )
-    raise ConfigError(f"unknown signal kind {kind!r}")
+        if kind == "compressible":
+            return make_compressible(
+                CompressibleSpec(
+                    p=float(spec["p"]),
+                    magnitude=float(spec.get("magnitude", 1.0)),
+                    n=int(spec["n"]),
+                    sign_seed=int(spec.get("sign_seed", sign_seed)),
+                    permutation_seed=int(spec.get("permutation_seed", permutation_seed)),
+                )
+            )
+        raise ValueError(f"unknown signal kind {kind!r}")
 
 
 def build_noise(spec: dict | None, m: int, complex_samples: bool, seed: int) -> np.ndarray | None:
     """Noise vector in sample space; scalar kind follows the operator."""
     if not spec:
         return None
-    noise_seed = int(spec.get("seed", seed))
+    with _reading("noise"):
+        noise_seed = int(spec.get("seed", seed))
+        key = "norm" if "norm" in spec else "sigma"
+        with _reading(key):
+            scale = float(spec[key])
+            if not 0.0 <= scale < math.inf:
+                raise ValueError(f"must be finite and nonnegative, got {scale}")
     if complex_samples:
         direction = prng.complex_normals(noise_seed, m)
     else:
         direction = prng.normals(noise_seed, m)
-    if "norm" in spec:
-        norm = float(spec["norm"])
-        if norm == 0.0:
-            return np.zeros_like(direction)
-        return direction * (norm / float(np.linalg.norm(direction)))
-    if "sigma" in spec:
-        return direction * float(spec["sigma"])
-    raise ConfigError("noise spec needs either 'norm' or 'sigma'")
+    if key == "sigma":
+        return direction * scale
+    if scale == 0.0:
+        return np.zeros_like(direction)
+    return direction * (scale / float(np.linalg.norm(direction)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +237,11 @@ def run_trial(
     polish: bool = False,
 ) -> TrialOutcome:
     """One fully seeded recovery; ``cell`` overrides m/s/noise for sweeps."""
-    master = int(cfg.get("master_seed", 0))
+    master = master_seed(cfg)
     cell = cell or {}
 
-    op_desc = dict(cfg["operator"])
+    with _reading("operator"):
+        op_desc = dict(cfg["operator"])
     if "m" in cell:
         op_desc["m"] = cell["m"]
     derived_op_seed = prng.mix_seed(master, cell_index, trial_index, STREAM_OPERATOR)
@@ -225,14 +249,15 @@ def run_trial(
         op_desc["seed"] = derived_op_seed
     op = build_operator(op_desc)
 
-    signal_spec = dict(cfg["signal"])
+    with _reading("signal"):
+        signal_spec = dict(cfg["signal"])
     if "s" in cell:
         signal_spec["s"] = cell["s"]
     truth = build_signal(signal_spec, signal_seeds(master, cell_index, trial_index))
 
     noise_spec = cfg.get("noise")
     if "noise_norm" in cell:
-        noise_spec = {"norm": cell["noise_norm"]}
+        noise_spec = {**(noise_spec or {}), "norm": cell["noise_norm"]}
     noise = build_noise(
         noise_spec,
         op.m,
@@ -240,9 +265,13 @@ def run_trial(
         prng.mix_seed(master, cell_index, trial_index, STREAM_NOISE),
     )
 
-    recovery_cfg = parse_recovery(dict(cfg["recovery"]))
+    recovery_cfg = parse_recovery(cfg.get("recovery", {}))
     if "s" in cell:
         recovery_cfg = replace(recovery_cfg, s=int(cell["s"]))
+    if truth.size != op.n:
+        raise ConfigError(f"signal.n: N = {truth.size} differs from the operator's N = {op.n}")
+    if recovery_cfg.s > op.n:
+        raise ConfigError(f"recovery.s: s = {recovery_cfg.s} exceeds N = {op.n}")
 
     u = op.apply(truth)
     if noise is not None:
@@ -278,7 +307,8 @@ def success_threshold(cfg: dict, truth_norm: float, noise_norm: float) -> float:
     """Relative-error success bar: 1e-4 noiseless, 15 ||e|| / ||x|| noisy."""
     explicit = cfg.get("success_threshold")
     if explicit is not None:
-        return float(explicit)
+        with _reading("success_threshold"):
+            return float(explicit)
     if noise_norm == 0.0:
         return 1e-4
     return 15.0 * noise_norm / truth_norm if truth_norm > 0 else math.inf
@@ -322,22 +352,26 @@ def write_trace_csv(path, report: RecoveryReport) -> None:
 
 def sweep_cells(cfg: dict) -> list[dict]:
     """Row-major cell grid over the sweep axes (single cell when absent)."""
-    sweep = cfg.get("sweep") or {}
-    m_axis = sweep.get("m", [cfg["operator"].get("m")])
-    s_axis = sweep.get("s", [cfg["recovery"].get("s")])
-    noise_axis = sweep.get("noise_norm")
-    if noise_axis is None:
+    with _reading("noise"):
         base_noise = cfg.get("noise") or {}
-        noise_axis = [base_noise.get("norm", 0.0)]
-    if not m_axis or not s_axis or not noise_axis:
-        raise ConfigError("sweep axes must be nonempty")
-    if any(v is None for axis in (m_axis, s_axis, noise_axis) for v in axis):
-        raise ConfigError("sweep axes need explicit values (m, s, noise_norm)")
-    grid = itertools.product(m_axis, s_axis, noise_axis)
-    return [
-        {"cell_index": index, "m": int(m), "s": int(s), "noise_norm": float(noise_norm)}
-        for index, (m, s, noise_norm) in enumerate(grid)
-    ]
+        if base_noise and ("sigma" in base_noise or "norm" not in base_noise):
+            raise ValueError("a sweep sets the noise by its norm: give 'norm' and no 'sigma'")
+    with _reading("sweep"):
+        sweep = cfg.get("sweep") or {}
+        m_axis = sweep.get("m", [cfg["operator"].get("m")])
+        s_axis = sweep.get("s", [cfg["recovery"].get("s")])
+        noise_axis = sweep.get("noise_norm")
+        if noise_axis is None:
+            noise_axis = [base_noise.get("norm", 0.0)]
+        if not m_axis or not s_axis or not noise_axis:
+            raise ValueError("axes must be nonempty")
+        if any(v is None for axis in (m_axis, s_axis, noise_axis) for v in axis):
+            raise ValueError("axes need explicit values (m, s, noise_norm)")
+        grid = itertools.product(m_axis, s_axis, noise_axis)
+        return [
+            {"cell_index": index, "m": int(m), "s": int(s), "noise_norm": float(noise_norm)}
+            for index, (m, s, noise_norm) in enumerate(grid)
+        ]
 
 
 @dataclass(frozen=True)
@@ -352,12 +386,14 @@ class CellResult:
 
 
 def run_cell(cfg: dict, cell: dict, trials: int) -> CellResult:
-    """Run a cell's trials; a trial that raises counts against the success rate."""
+    """Run a cell's trials; a trial that raises counts as failed; a ConfigError stops the sweep."""
     outcomes = []
     failures = 0
     for t in range(trials):
         try:
             outcomes.append(run_trial(cfg, cell=cell, cell_index=cell["cell_index"], trial_index=t))
+        except ConfigError:
+            raise
         except Exception:
             failures += 1
     if not outcomes:
@@ -375,11 +411,14 @@ def run_cell(cfg: dict, cell: dict, trials: int) -> CellResult:
 
 def run_sweep(cfg: dict, jobs: int = 1) -> list[CellResult]:
     cells = sweep_cells(cfg)
-    trials = int(cfg.get("trials", 1))
-    n = int(cfg["signal"]["n"])
+    with _reading("trials"):
+        trials = int(cfg.get("trials", 1))
+        if trials < 1:
+            raise ValueError(f"need at least one trial, got {trials}")
+    n = signal_length(cfg)
     for cell in cells:
-        if cell["m"] > n:
-            raise ConfigError(f"cell m={cell['m']} exceeds N={n}")
+        if not (0 < cell["m"] <= n and 0 < cell["s"] <= n and 0 <= cell["noise_norm"] < math.inf):
+            raise ConfigError(f"sweep: cell {cell} needs 0 < m, s <= N={n}, finite noise_norm >= 0")
     if jobs <= 1 or len(cells) == 1:
         results = [run_cell(cfg, cell, trials) for cell in cells]
     else:
@@ -440,6 +479,22 @@ def bench_operator(op: SamplingOperator, s: int, iterations: int, seed: int) -> 
         medians[step] = float(np.median(samples)) if samples else 0.0
     medians["total"] = float(np.median([row.total_time_us() for row in report.trace]))
     return medians
+
+
+def bench_rows(cfg: dict) -> list[tuple[str, dict[str, float]]]:
+    """(label, per-step medians) for each scenario of the config's bench section."""
+    seed = master_seed(cfg)
+    rows = []
+    with _reading("bench"):
+        bench = cfg["bench"]
+        for index, scenario in enumerate(bench["scenarios"]):
+            with _reading(f"scenarios[{index}]"):
+                op = build_operator(scenario["operator"])
+                label = scenario.get("label", f"{scenario['operator']['kind']}_n{op.n}")
+                s = int(scenario.get("s", bench.get("s", 8)))
+                iterations = int(scenario.get("iterations", bench.get("iterations", 5)))
+                rows.append((label, bench_operator(op, s, iterations, seed)))
+    return rows
 
 
 def bench_csv(rows: list[tuple[str, dict[str, float]]]) -> str:

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cosamp import experiment
 from cosamp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from cosamp.experiment import ConfigError
 from cosamp.serialize import dump_json, read_signal
 
 FIXTURE = Path(__file__).resolve().parent.parent / "demos" / "configs" / "gauss_64_32_s3.json"
@@ -204,6 +206,104 @@ class TestMalformedSections:
         path = write_config(tmp_path, cfg)
         assert main(["recover", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: config section {section!r}")
+
+
+GOOD_OPERATOR = {"kind": "gaussian", "m": 16, "n": 64, "seed": 1}
+
+# The malformed-config corpus: one row per command run on the demo config with
+# the given dotted paths set to the given values, and the JSON path the error
+# must name.  A new config key gets a row here, not a new test.
+MALFORMED = [
+    ("recover", {"recovery.halting": ["sample_norm"]}, "recovery.halting[0]"),
+    ("sweep", {"recovery.halting": ["sample_norm"]}, "recovery.halting[0]"),
+    ("recover", {"recovery.halting": [{"kind": "clock"}]}, "recovery.halting[0]"),
+    ("sweep", {"recovery.halting.1.count": "x"}, "recovery.halting[1]"),
+    ("recover", {"recovery.lsq": 5}, "recovery.lsq"),
+    ("sweep", {"recovery.lsq": 5}, "recovery.lsq"),
+    ("sweep", {"recovery.lsq.solver": "nope"}, "recovery.lsq"),
+    ("recover", {"recovery.s": "x"}, "recovery"),
+    ("recover", {"recovery.s": 1000}, "recovery.s"),
+    ("sweep", {"recovery.s": 1000}, "sweep"),
+    ("recover", {"operator.kind": "nope"}, "operator"),
+    ("sweep", {"operator.kind": "nope"}, "operator"),
+    ("rip", {"operator.m": "x"}, "operator"),
+    ("recover", {"operator": {"kind": "dense", "path": "no-such-matrix.cskm"}}, "operator"),
+    ("recover", {"signal.kind": "nope"}, "signal"),
+    ("recover", {"signal.n": 32}, "signal.n"),
+    ("sweep", {"operator.n": 128}, "signal.n"),
+    ("gen-signal", {"signal.s": 100}, "signal"),
+    ("recover", {"master_seed": "x"}, "master_seed"),
+    ("sweep", {"master_seed": "x"}, "master_seed"),
+    ("rip", {"master_seed": "x"}, "master_seed"),
+    ("gen-signal", {"master_seed": "x"}, "master_seed"),
+    ("sweep", {"success_threshold": "x"}, "success_threshold"),
+    ("recover", {"noise": {"norm": -1}}, "noise.norm"),
+    ("recover", {"noise": {"sigma": float("nan")}}, "noise.sigma"),
+    ("recover", {"noise": {"sigma": "x"}}, "noise.sigma"),
+    ("recover", {"noise": {"seed": 3}}, "noise.sigma"),
+    ("sweep", {"noise": {"sigma": 0.1}}, "noise"),
+    ("sweep", {"noise": {"norm": 0.1, "sigma": 0.1}}, "noise"),
+    ("sweep", {"noise": {"seed": 3}}, "noise"),
+    ("sweep", {"noise": {"norm": -1}}, "sweep"),
+    ("sweep", {"sweep": {"m": 5}}, "sweep"),
+    ("sweep", {"sweep": [1]}, "sweep"),
+    ("sweep", {"sweep": {"m": [128]}}, "sweep"),
+    ("sweep", {"sweep": {"s": [100]}}, "sweep"),
+    ("sweep", {"sweep": {"noise_norm": [-1]}}, "sweep"),
+    ("sweep", {"sweep": {"noise_norm": [float("inf")]}}, "sweep"),
+    ("sweep", {"trials": 0}, "trials"),
+    ("sweep", {"trials": -3}, "trials"),
+    ("sweep", {"trials": "x"}, "trials"),
+    ("bench", {}, "bench"),
+    ("bench", {"bench": [1]}, "bench"),
+    ("bench", {"bench": {"scenarios": [5]}}, "bench.scenarios[0]"),
+    ("bench", {"bench": {"scenarios": [{"operator": GOOD_OPERATOR}, {"operator": {"kind": "nope"}}]}},
+     "bench.scenarios[1].operator"),
+    ("bench", {"bench": {"scenarios": [{"operator": GOOD_OPERATOR, "iterations": "x"}]}},
+     "bench.scenarios[0]"),
+]
+
+
+def set_path(cfg, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        cfg = cfg[int(key)] if isinstance(cfg, list) else cfg[key]
+    cfg[int(last) if isinstance(cfg, list) else last] = value
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "command, edits, path", MALFORMED, ids=[f"{c}-{p}-{i}" for i, (c, _, p) in enumerate(MALFORMED)]
+    )
+    def test_config_error_names_its_path(self, tmp_path, capsys, command, edits, path):
+        cfg = json.loads(FIXTURE.read_text())
+        for dotted, value in edits.items():
+            set_path(cfg, dotted, value)
+        config = write_config(tmp_path, cfg)
+        extra = ["--r", "2", "--method", "both", "--trials", "10"] if command == "rip" else []
+        code = main([command, "--config", str(config), "--out", str(tmp_path)] + extra)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert err.startswith(f"config error: {path}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_config_error_in_a_trial_stops_the_sweep_before_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        real_trial = experiment.run_trial
+
+        def second_trial_misconfigured(cfg, *, trial_index, **kwargs):
+            if trial_index == 1:
+                raise ConfigError("recovery: found in trial 1")
+            return real_trial(cfg, trial_index=trial_index, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_trial", second_trial_misconfigured)
+        path = write_config(tmp_path, small_sweep_config())
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: recovery: found in trial 1\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestBenchCommand:

@@ -103,6 +103,16 @@ class TestBuildNoise:
     def test_none_spec(self):
         assert build_noise(None, 8, False, seed=0) is None
 
+    def test_explicit_seed_wins_over_derived(self):
+        spec = {"norm": 0.5, "seed": 4}
+        assert np.array_equal(build_noise(spec, 16, False, seed=1), build_noise(spec, 16, False, seed=2))
+
+    @pytest.mark.parametrize("key", ["norm", "sigma"])
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_scale_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^noise\.{key}: must be finite and nonnegative"):
+            build_noise({key: value}, 16, False, seed=0)
+
 
 class TestRunTrial:
     def test_bundled_fixture_recovers(self):
@@ -128,6 +138,17 @@ class TestRunTrial:
         a = run_trial(cfg, trial_index=0)
         b = run_trial(cfg, trial_index=1)
         assert not np.array_equal(a.truth, b.truth)
+
+    @pytest.mark.parametrize("section", ["operator", "signal", "recovery"])
+    def test_section_that_is_not_an_object(self, section):
+        with pytest.raises(ConfigError, match=rf"^{section}: "):
+            run_trial(base_config(**{section: 5}))
+
+    def test_recovery_s_above_n_rejected(self):
+        cfg = base_config()
+        cfg["recovery"]["s"] = 65
+        with pytest.raises(ConfigError, match=r"^recovery\.s: s = 65 exceeds N = 64"):
+            run_trial(cfg)
 
     def test_noisy_success_threshold(self):
         cfg = base_config(noise={"norm": 0.05})
@@ -209,6 +230,39 @@ class TestSweep:
         cfg = base_config(sweep={"m": [128]})
         with pytest.raises(ConfigError):
             run_sweep(cfg)
+
+    @pytest.mark.parametrize("axes", [{"s": [65]}, {"s": [0]}, {"noise_norm": [-1.0]}])
+    def test_cell_outside_the_grid_bounds(self, axes):
+        with pytest.raises(ConfigError, match=r"^sweep: cell"):
+            run_sweep(base_config(sweep=axes))
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(ConfigError, match=r"^trials: "):
+            run_sweep(base_config(trials=trials))
+
+    def test_more_than_m_over_three_still_runs(self):
+        # 3s > m, and 4s > N for s = 20: trials run and fail to recover,
+        # rather than stopping the sweep
+        with pytest.warns(UserWarning, match="4 s = 80 exceeds N = 64"):
+            results = run_sweep(base_config(sweep={"s": [12, 20]}, trials=2))
+        assert [r.failures for r in results] == [0, 0]
+        assert [r.success_rate for r in results] == [0.0, 0.0]
+
+    def test_seeded_noise_section_pins_the_sweep_noise(self):
+        cfg = base_config(noise={"norm": 0.05, "seed": 11}, sweep=None, trials=1)
+        swept = run_sweep(cfg)[0]
+        single = run_trial(cfg)
+        assert swept.median_final_error == single.relative_error
+        other_seed = run_trial(base_config(noise={"norm": 0.05, "seed": 12}))
+        assert single.relative_error != other_seed.relative_error
+
+    @pytest.mark.parametrize(
+        "noise", [{"sigma": 0.1}, {"norm": 0.1, "sigma": 0.1}, {"seed": 3}, {"sigma": 0.1, "seed": 3}]
+    )
+    def test_noise_section_a_sweep_cannot_state_rejected(self, noise):
+        with pytest.raises(ConfigError, match=r"^noise: "):
+            sweep_cells(base_config(noise=noise))
 
     def test_csv_layout(self):
         cfg = base_config(trials=1)
