@@ -37,7 +37,7 @@ from .recovery import (
     SampleNorm,
     recover,
 )
-from .serialize import operator_from_descriptor, signal_to_json
+from .serialize import json_int, operator_from_descriptor, signal_to_json
 from .variants import final_polish, recover_prune_first_variant, recover_residual_variant
 
 CONFIG_VERSION = "config_v1"
@@ -112,7 +112,7 @@ def parse_halting(entries) -> list:
         with _reading(f"halting[{index}]"):
             kind = entry.get("kind")
             if kind == "fixed_iterations":
-                rules.append(FixedIterations(int(entry["count"])))
+                rules.append(FixedIterations(json_int(entry["count"])))
             elif kind == "sample_norm":
                 rules.append(SampleNorm(float(entry["epsilon"])))
             elif kind == "proxy_infinity_norm":
@@ -135,12 +135,13 @@ def parse_recovery(cfg: dict) -> RecoveryConfig:
                 raise ValueError("warm_start is fixed: solves start from the current estimate")
             lsq = LsqConfig(
                 solver=lsq_cfg.get("solver", "cg"),
-                iterations=int(lsq_cfg.get("iterations", 3)),
+                iterations=json_int(lsq_cfg.get("iterations", 3)),
             )
         return RecoveryConfig(
-            s=int(cfg["s"]),
+            s=json_int(cfg["s"]),
             halting=parse_halting(cfg.get("halting")),
-            max_iterations=cfg.get("max_iterations"),
+            max_iterations=None if cfg.get("max_iterations") is None
+            else json_int(cfg["max_iterations"]),
             lsq=lsq,
         )
 
@@ -152,12 +153,12 @@ def build_operator(desc: dict) -> SamplingOperator:
 
 def master_seed(cfg: dict) -> int:
     with _reading("master_seed"):
-        return int(cfg.get("master_seed", 0))
+        return json_int(cfg.get("master_seed", 0))
 
 
 def signal_length(cfg: dict) -> int:
     with _reading("signal.n"):
-        return int(cfg["signal"]["n"])
+        return json_int(cfg["signal"]["n"])
 
 
 def signal_seeds(master: int, cell_index: int, trial_index: int) -> tuple[int, ...]:
@@ -173,23 +174,23 @@ def build_signal(spec: dict, seeds: tuple[int, int, int]) -> np.ndarray:
         kind = spec.get("kind")
         if kind == "sparse":
             return make_sparse(
-                int(spec["n"]),
-                int(spec["s"]),
+                json_int(spec["n"]),
+                json_int(spec["s"]),
                 spec.get("law", "flat"),
                 alpha=float(spec.get("alpha", 0.5)),
                 magnitudes=spec.get("magnitudes"),
                 scale=float(spec.get("scale", 1.0)),
-                position_seed=int(spec.get("position_seed", position_seed)),
-                sign_seed=int(spec.get("sign_seed", sign_seed)),
+                position_seed=json_int(spec.get("position_seed", position_seed)),
+                sign_seed=json_int(spec.get("sign_seed", sign_seed)),
             )
         if kind == "compressible":
             return make_compressible(
                 CompressibleSpec(
                     p=float(spec["p"]),
                     magnitude=float(spec.get("magnitude", 1.0)),
-                    n=int(spec["n"]),
-                    sign_seed=int(spec.get("sign_seed", sign_seed)),
-                    permutation_seed=int(spec.get("permutation_seed", permutation_seed)),
+                    n=json_int(spec["n"]),
+                    sign_seed=json_int(spec.get("sign_seed", sign_seed)),
+                    permutation_seed=json_int(spec.get("permutation_seed", permutation_seed)),
                 )
             )
         raise ValueError(f"unknown signal kind {kind!r}")
@@ -200,7 +201,7 @@ def build_noise(spec: dict | None, m: int, complex_samples: bool, seed: int) -> 
     if not spec:
         return None
     with _reading("noise"):
-        noise_seed = int(spec.get("seed", seed))
+        noise_seed = json_int(spec.get("seed", seed))
         key = "norm" if "norm" in spec else "sigma"
         with _reading(key):
             scale = float(spec[key])
@@ -308,6 +309,8 @@ def success_threshold(cfg: dict, truth_norm: float, noise_norm: float) -> float:
     explicit = cfg.get("success_threshold")
     if explicit is not None:
         with _reading("success_threshold"):
+            if not 0 <= float(explicit) < math.inf:
+                raise ValueError(f"need a finite threshold >= 0, got {explicit!r}")
             return float(explicit)
     if noise_norm == 0.0:
         return 1e-4
@@ -369,7 +372,7 @@ def sweep_cells(cfg: dict) -> list[dict]:
             raise ValueError("axes need explicit values (m, s, noise_norm)")
         grid = itertools.product(m_axis, s_axis, noise_axis)
         return [
-            {"cell_index": index, "m": int(m), "s": int(s), "noise_norm": float(noise_norm)}
+            {"cell_index": index, "m": json_int(m), "s": json_int(s), "noise_norm": float(noise_norm)}
             for index, (m, s, noise_norm) in enumerate(grid)
         ]
 
@@ -412,7 +415,7 @@ def run_cell(cfg: dict, cell: dict, trials: int) -> CellResult:
 def run_sweep(cfg: dict, jobs: int = 1) -> list[CellResult]:
     cells = sweep_cells(cfg)
     with _reading("trials"):
-        trials = int(cfg.get("trials", 1))
+        trials = json_int(cfg.get("trials", 1))
         if trials < 1:
             raise ValueError(f"need at least one trial, got {trials}")
     n = signal_length(cfg)
@@ -427,35 +430,28 @@ def run_sweep(cfg: dict, jobs: int = 1) -> list[CellResult]:
     return sorted(results, key=lambda r: r.cell["cell_index"])
 
 
-def sweep_csv(results: list[CellResult], n: int) -> str:
-    """Deterministic results CSV (no wall-clock columns)."""
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for res in results:
-        writer.writerow(
-            [
-                res.cell["cell_index"],
-                res.cell["m"],
-                n,
-                res.cell["s"],
-                _fmt(res.cell["noise_norm"]),
-                res.trials,
-                _fmt(res.success_rate),
-                _fmt(res.median_iterations),
-                _fmt(res.median_final_error),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def sweep_csv(results: list[CellResult], n: int) -> str:
+    """Deterministic results CSV (no wall-clock columns)."""
+    rows = (
+        [res.cell["cell_index"], res.cell["m"], n, res.cell["s"], _fmt(res.cell["noise_norm"]),
+         res.trials, _fmt(res.success_rate), _fmt(res.median_iterations),
+         _fmt(res.median_final_error)]
+        for res in results
+    )
+    return _csv_text(SWEEP_COLUMNS, rows)
 
 
 def sweep_timing_csv(results: list[CellResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("cell_index", "median_iteration_time_us"))
-    for res in results:
-        writer.writerow([res.cell["cell_index"], _fmt(res.median_iteration_time_us)])
-    return buf.getvalue()
+    rows = ([res.cell["cell_index"], _fmt(res.median_iteration_time_us)] for res in results)
+    return _csv_text(("cell_index", "median_iteration_time_us"), rows)
 
 
 BENCH_STEPS = ("proxy", "identify", "merge", "estimate", "prune", "update")
@@ -491,16 +487,12 @@ def bench_rows(cfg: dict) -> list[tuple[str, dict[str, float]]]:
             with _reading(f"scenarios[{index}]"):
                 op = build_operator(scenario["operator"])
                 label = scenario.get("label", f"{scenario['operator']['kind']}_n{op.n}")
-                s = int(scenario.get("s", bench.get("s", 8)))
-                iterations = int(scenario.get("iterations", bench.get("iterations", 5)))
+                s = json_int(scenario.get("s", bench.get("s", 8)))
+                iterations = json_int(scenario.get("iterations", bench.get("iterations", 5)))
                 rows.append((label, bench_operator(op, s, iterations, seed)))
     return rows
 
 
 def bench_csv(rows: list[tuple[str, dict[str, float]]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step"] + [label for label, _ in rows])
-    for step in BENCH_STEPS + ("total",):
-        writer.writerow([step] + [_fmt(med[step]) for _, med in rows])
-    return buf.getvalue()
+    lines = ([step] + [_fmt(med[step]) for _, med in rows] for step in BENCH_STEPS + ("total",))
+    return _csv_text(["step"] + [label for label, _ in rows], lines)

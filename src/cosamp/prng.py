@@ -190,10 +190,12 @@ def sample_many(seed: int, trials: int, n: int, m: int) -> np.ndarray:
     base = np.uint64(mix_seed(seed))
     chunk = max(1, _TABLE_ENTRIES // max(n, 1))
     out = np.empty((trials, m), dtype=np.int64)
+    whole = np.empty((min(chunk, trials), n), dtype=np.int64)  # one table for every chunk
     for start in range(0, trials, chunk):
         keys = _splitmix64(np.arange(start, min(trials, start + chunk), dtype=np.uint64) ^ base)
         offsets = raw_words_many(keys, steps) % np.arange(n, n - steps, -1, dtype=np.uint64)
-        table = np.tile(np.arange(n, dtype=np.int64), (keys.size, 1))
+        table = whole[: keys.size]
+        table[:] = np.arange(n, dtype=np.int64)
         flat = table.reshape(-1)
         # flat index of the entry (row, i + offset) that swap i trades with (row, i)
         targets = offsets.astype(np.int64) + np.arange(steps) + n * np.arange(keys.size)[:, None]

@@ -9,10 +9,12 @@ instance checks for the spectral consequences the recovery analysis leans
 on (approximate orthogonality, cross-correlation, the block bound
 delta_cr <= c * delta_2r, and the nonsparse energy bound).
 
-Both modes take the maximum of ||G_S - I||_2 over a list of supports
-without solving an eigenproblem for each: a cheap upper bound per support
-(the Frobenius norm ||G_S - I||_F) rules out every support that cannot beat
-the worst deviation already found, with a margin far above rounding, so the
+Both modes take the maximum of ||G_S - I||_2 without solving an
+eigenproblem per support: its Frobenius and Schatten-4 norms bound it, and
+a support whose bound cannot beat the worst deviation already solved, less
+a margin far above rounding, is skipped; exhaustive mode also skips whole
+subtrees of supports sharing a prefix, by a Schur-complement bound on every
+completion.  Every value returned is one support's own ``eigvalsh``, so the
 maximum is the brute-force one bit for bit.
 """
 
@@ -30,6 +32,9 @@ from .signals import SupportSet, norms, restrict, support_of
 
 _CHUNK = 50_000
 _PROBE_COUNT = 256
+# supports and prefixes of at most this many indices get the spectral bounds;
+# past it, a bound costs as much as the eigendecompositions it could save
+_SPECTRAL_DEPTH = 12
 
 
 class RipBudgetError(ValueError):
@@ -61,33 +66,6 @@ def _full_gram(op: SamplingOperator) -> np.ndarray:
     return mat.conj().T @ mat
 
 
-def _combinations(n: int, r: int) -> np.ndarray:
-    """All r-subsets of range(n) as int64 rows, in ``itertools.combinations`` order.
-
-    Built one position at a time from the right: the last k entries of an
-    r-subset form a k-subset of range(r - k, n), and the k-subsets of
-    {i+1, ..., n-1} are the last C(n-1-i, k) of those in lexicographic
-    order, so the (k+1)-subsets of range(r-k-1, n) are each first element i
-    followed by that suffix of the previous table.  Table k has
-    C(n-r+k, k) <= C(n, r) rows, so no step outgrows the output.  Tables
-    are filled position-major and returned as a transposed view, so no
-    step copies a whole table.
-    """
-    table = np.empty((0, 1), dtype=np.int64)
-    for k in range(r):
-        firsts = np.arange(r - 1 - k, n - k)
-        lengths = np.array([math.comb(n - 1 - i, k) for i in firsts], dtype=np.int64)
-        out_starts = np.cumsum(lengths) - lengths
-        src_starts = table.shape[1] - lengths
-        picks = np.arange(int(lengths.sum())) + np.repeat(src_starts - out_starts, lengths)
-        grown = np.empty((k + 1, picks.size), dtype=np.int64)
-        grown[0] = np.repeat(firsts, lengths)
-        # picks are in range; mode='raise' would buffer a copy of the output
-        np.take(table, picks, axis=1, out=grown[1:], mode="clip")
-        table = grown
-    return table.T
-
-
 def _deviations(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """||G_S - I||_2 for each support row S, one ``eigvalsh`` per matrix."""
     out = np.empty(supports.shape[0])
@@ -99,13 +77,9 @@ def _deviations(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
 
 
 def _deviation_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """||G_S - I||_F, an upper bound on ||G_S - I||_2, for each increasing support row S.
-
-    The norm is taken over the lower triangle of G_S - I, which is all that
-    ``eigvalsh`` reads: for b > a, entry (S_b, S_a) of G is in its lower
-    triangle.  The entries are gathered straight from G, so no N x N
-    temporary is made.
-    """
+    """||G_S - I||_F, an upper bound on ||G_S - I||_2, for each increasing support row S,
+    over the lower triangle ``eigvalsh`` reads (entry (S_b, S_a) of G for b > a),
+    gathered straight from G so that no N x N temporary is made."""
     n = gram.shape[0]
     entries = gram.ravel()
     diagonal = np.diagonal(gram)
@@ -121,18 +95,38 @@ def _deviation_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_deviation_over(gram: np.ndarray, supports: np.ndarray) -> float:
-    """Max of ||G_S - I||_2 over the support rows, exactly as if every row's
-    ``eigvalsh`` had been computed.
+def _hermitian_deviation(gram: np.ndarray) -> np.ndarray:
+    """G - I as the Hermitian matrix ``eigvalsh`` builds from the lower triangle of G."""
+    dev = np.tril(gram, -1)
+    dev = dev + dev.conj().T
+    dev[np.diag_indices_from(dev)] = np.diagonal(gram).real - 1.0
+    return dev
 
-    The supports with the _PROBE_COUNT largest Frobenius bounds from
-    :func:`_deviation_bounds` are solved first; their worst deviation L is a
-    lower bound on the answer.  A support whose bound is at most L - tol
-    cannot beat L, so only the rest are solved.  tol = 1e-9 max(1, L) sits
-    far above the rounding in a bound or an eigenvalue (about r * 1e-16
-    relative), so no skipped support could have come out above L, and each
-    solved matrix gives the same eigenvalues in any batch: the result equals
-    the unpruned maximum bit for bit.
+
+def _schatten4_bounds(dev: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """(tr E_S^4)^(1/4) >= ||E_S||_2 for each support row S of E = ``dev``: at most
+    r^(1/4) times ||E_S||_2, where the Frobenius norm may reach sqrt(r) times it."""
+    out = np.empty(supports.shape[0])
+    for start in range(0, supports.shape[0], _CHUNK):
+        block = supports[start : start + _CHUNK]
+        sub = dev[block[:, :, None], block[:, None, :]]
+        squared = sub @ sub
+        fourth = np.einsum("kij,kij->k", squared, squared.conj()).real
+        out[start : start + block.shape[0]] = np.sqrt(np.sqrt(fourth))
+    return out
+
+
+def _max_deviation_over(gram: np.ndarray, supports: np.ndarray) -> float:
+    """Max of ||G_S - I||_2 over the increasing support rows, exactly as if every
+    row's ``eigvalsh`` had been computed.
+
+    The supports with the _PROBE_COUNT largest Frobenius bounds are solved
+    first; their worst deviation L bounds the answer below, and a support
+    whose Frobenius or Schatten-4 bound is at most L - tol cannot beat it, so
+    only the rest are solved.  tol = 1e-9 max(1, L) sits far above the
+    rounding in a bound or an eigenvalue (about r * 1e-16 relative), and a
+    matrix gives the same eigenvalues in any batch, so the result is the
+    unpruned maximum bit for bit.
     """
     bounds = _deviation_bounds(gram, supports)
     if bounds.size > _PROBE_COUNT:
@@ -140,9 +134,163 @@ def _max_deviation_over(gram: np.ndarray, supports: np.ndarray) -> float:
     else:
         probes = np.arange(bounds.size)
     worst = float(np.max(_deviations(gram, supports[probes]), initial=0.0))
-    pending = bounds > worst - 1e-9 * max(1.0, worst)
+    floor = worst - 1e-9 * max(1.0, worst)
+    pending = bounds > floor
     pending[probes] = False
-    return float(np.max(_deviations(gram, supports[pending]), initial=worst))
+    rest = supports[pending]
+    if supports.shape[1] <= _SPECTRAL_DEPTH:
+        rest = rest[_schatten4_bounds(_hermitian_deviation(gram), rest) > floor]
+    return float(np.max(_deviations(gram, rest), initial=worst))
+
+
+def _greedy_worst(gram: np.ndarray, dev: np.ndarray, r: int) -> float:
+    """The worst deviation among real r-supports: N grown from each index by
+    adding, r - 1 times, the index that most raises the Frobenius norm, and
+    the four of those with the largest Schatten-4 bound, each moved up to
+    three times to the single swap that raises that bound most."""
+    n = dev.shape[0]
+    pairs = 2.0 * np.abs(dev) ** 2
+    rows = np.arange(n)
+    supports, gain = [rows], 0.5 * pairs.diagonal() + pairs
+    for _ in range(1, r):
+        gain[rows, supports[-1]] = -np.inf
+        supports.append(np.argmax(gain, axis=1))
+        gain += pairs[supports[-1]]
+    grown = np.sort(np.stack(supports, axis=1), axis=1)
+    value = _schatten4_bounds(dev, grown)
+    pick = np.argsort(value)[-4:]
+    moved, value, lanes = grown[pick], value[pick], np.arange(pick.size)
+    for _ in range(3 if r < n else 0):
+        outside = np.ones((lanes.size, n), dtype=bool)
+        outside[lanes[:, None], moved] = False
+        swaps = np.repeat(moved[:, None, None, :], r, axis=1).repeat(n - r, axis=2)
+        swaps[:, np.arange(r), :, np.arange(r)] = np.nonzero(outside)[1].reshape(-1, n - r)
+        swaps = np.sort(swaps.reshape(lanes.size, -1, r), axis=2)
+        scores = _schatten4_bounds(dev, swaps.reshape(-1, r)).reshape(lanes.size, -1)
+        best = np.argmax(scores, axis=1)
+        better = scores[lanes, best] > value
+        moved[better], value[better] = swaps[lanes, best][better], scores[lanes, best][better]
+    return float(np.max(_deviations(gram, np.concatenate([grown, moved]))))
+
+
+def _extremes(dev: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds on lambda_max(E_Q) and lambda_max(-E_Q) for each 2- or 3-set
+    row Q of E = ``dev``, from the closed-form roots of the characteristic
+    polynomial, widened by 1e-7 of the spectrum's scale to cover their rounding."""
+    diag = dev.diagonal().real[sets]
+    mean = diag.mean(axis=1)
+    diag -= mean[:, None]
+    if sets.shape[1] == 2:
+        radius = np.hypot(diag[:, 0], np.abs(dev[sets[:, 0], sets[:, 1]]))
+        high, low = radius, -radius
+    else:
+        x, y, z = (dev[sets[:, a], sets[:, b]] for a, b in ((0, 1), (0, 2), (1, 2)))
+        xx, yy, zz = np.abs(x) ** 2, np.abs(y) ** 2, np.abs(z) ** 2
+        radius = np.sqrt((np.sum(diag**2, axis=1) + 2.0 * (xx + yy + zz)) / 6.0)
+        det = np.prod(diag, axis=1) + 2.0 * np.real(x * z * y.conj())
+        det -= diag[:, 0] * zz + diag[:, 1] * yy + diag[:, 2] * xx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosine = np.clip(np.nan_to_num(det / (2.0 * radius**3)), -1.0, 1.0)
+        angle = np.arccos(cosine) / 3.0
+        high, low = 2.0 * radius * np.cos(angle), 2.0 * radius * np.cos(angle + 2.0 * np.pi / 3.0)
+    slack = 1e-7 * (radius + np.abs(mean))
+    return mean + high + slack, -(mean + low) + slack
+
+
+def _completion_bounds(dev: np.ndarray, r: int) -> np.ndarray:
+    """bounds[0, t, q] >= lambda_max(E_Q) and bounds[1, t, q] >= lambda_max(-E_Q) for
+    every t-set Q whose least index is q (E = ``dev``), -inf where there is none.
+
+    For t = 2, 3 (when r > t) these are the largest over the sets themselves.
+    Beyond, Q is {q} and a (t - 1)-set R past q, so lambda_max(s E_Q) is at
+    most the larger eigenvalue of [[s E_qq, b], [b, c]] with b^2 the t - 1
+    largest |E_qc'|^2 past q summed and c the bound for R."""
+    n = dev.shape[0]
+    couplings = np.cumsum(-np.sort(-np.abs(np.triu(dev, 1)) ** 2, axis=1), axis=1)
+    bounds = np.full((2, r + 1, n), -np.inf)
+    bounds[:, 1] = dev.diagonal().real, -dev.diagonal().real
+    for t in range(2, r + 1):
+        if t <= 3 and t < r:
+            sets = _candidates(dev, t, 0.0)
+            for side, extreme in enumerate(_extremes(dev, sets)):
+                np.maximum.at(bounds[side, t], sets[:, 0], extreme)
+            continue
+        head = slice(0, n - t + 1)
+        for side, diagonal in enumerate((dev.diagonal().real, -dev.diagonal().real)):
+            rest = np.maximum.accumulate(bounds[side, t - 1, :0:-1])[::-1][head]
+            a, b2 = diagonal[head], couplings[head, t - 2]
+            bounds[side, t, head] = 0.5 * (a + rest) + np.sqrt(0.25 * (a - rest) ** 2 + b2)
+    return bounds
+
+
+def _may_exceed(dev, prefixes, completion, left, floor):
+    """For each prefix row P and index q, whether some S = P + {q} + R, R a
+    ``left``-set past q, may have ||E_S||_2 > ``floor``.
+
+    While ||E_P||_2 < floor, lambda_max(s E_S) < floor (s = +1, -1) holds when
+    lambda_max(s E_Q) + lambda_max(B* (floor - s E_P)^-1 B) < floor, Q = S - P
+    and B = E_PQ (a Schur complement).  The second term is at most its trace,
+    the sum over c in Q of f(c) = b_c* (floor - s E_P)^-1 b_c, so f(q) plus the
+    lesser of the ``left`` largest f past P and ``left`` times the largest f
+    past q bounds it; ``completion`` bounds the first."""
+    if prefixes.shape[1] == 0:
+        return np.any(completion >= floor, axis=0)[None, :]
+    lam, vecs = np.linalg.eigh(dev[prefixes[:, :, None], prefixes[:, None, :]])
+    weights = np.abs(np.einsum("mka,mkn->man", vecs.conj(), dev[prefixes])) ** 2
+    inside = (lam[:, -1] < floor) & (-lam[:, 0] < floor)
+    past = np.arange(dev.shape[0]) > prefixes[:, -1:]
+    may = past & ~inside[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for side, gaps in enumerate((floor - lam, floor + lam)):
+            f = np.where(past, np.einsum("man,ma->mn", weights, 1.0 / gaps), -np.inf)
+            top = np.zeros_like(f)  # top[:, q] >= the ``left`` largest f past q
+            if left:
+                top[:, :-1] = np.maximum.accumulate(f[:, :0:-1], axis=1)[:, ::-1]
+                top[:, -1] = -np.inf
+                largest = -np.partition(-f, left - 1, axis=1)[:, :left].sum(axis=1)
+                top = np.minimum(left * top, largest[:, None])
+            may |= completion[side] + f + top >= floor
+    return may
+
+
+def _candidates(dev: np.ndarray, r: int, floor: float) -> np.ndarray:
+    """The increasing r-supports S whose ||E_S||_2 (E = ``dev``) may exceed
+    ``floor``, as rows in lexicographic order; every r-support when floor <= 0.
+
+    Supports grow an index per level, a level at a time in blocks of
+    prefixes.  A child P + {q} is dropped with its subtree when no completion
+    may exceed the floor (:func:`_may_exceed`).  A block of prefixes is tested
+    only when they are at most _SPECTRAL_DEPTH long and the leaves the test
+    could drop outnumber their entries, and no level is tested after one
+    whose tests dropped nothing.  No table of all C(N, r) supports is made.
+    """
+    n, testing = dev.shape[0], floor > 0
+    if testing:
+        bounds = _completion_bounds(dev, r)
+        # below[t, q]: both bounds on t-sets from q sit under the floor, so a child at q may go
+        below = np.all((bounds < floor) & (bounds > -np.inf), axis=0)
+    step = max(1, _CHUNK // max(n, 1))
+    table = np.empty((0, 1), dtype=np.int64)  # position-major: row j holds index j of every prefix
+    for k in range(r):
+        left, grown, dropped = r - 1 - k, [], 0
+        testing &= k <= _SPECTRAL_DEPTH
+        if testing:  # the leaves under a child at q that may go
+            savings = below[left + 1] * np.array([math.comb(n - 1 - c, left) for c in range(n)], float)
+        for lo in range(0, max(table.shape[1], 1), step):
+            block = table[:, lo : lo + step]
+            last = block[-1] if k else np.full(block.shape[1], -1)
+            counts = np.maximum(n - left - 1 - last, 0)  # children q in (last, n - left)
+            rows = np.repeat(np.arange(block.shape[1]), counts)
+            q = np.arange(rows.size) + np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
+            if testing and savings[q].sum() > k * block.shape[1]:
+                keep = _may_exceed(dev, block.T, bounds[:, left + 1], left, floor)[rows, q]
+                rows, q, dropped = rows[keep], q[keep], dropped + keep.size - keep.sum()
+            grown.append(np.empty((k + 1, rows.size), dtype=np.int64))
+            np.take(block, rows, axis=1, out=grown[-1][:k], mode="clip")
+            grown[-1][k] = q
+        table = grown[0] if len(grown) == 1 else np.concatenate(grown, axis=1)
+        testing &= k == 0 or dropped > 0  # a level that drops nothing ends the tests
+    return table.T
 
 
 def rip_estimate(
@@ -156,22 +304,17 @@ def rip_estimate(
 ) -> RipEstimate:
     """Estimate delta_r exhaustively or by Monte Carlo support sampling.
 
-    Exhaustive mode enumerates all C(N, r) supports and is exact; it raises
-    :class:`RipBudgetError` when the count exceeds ``budget``, which counts
-    supports, not work: near r = N the pruning can solve every support, so
-    r = 27 on a 24 x 32 Gaussian (201,376 supports) takes about 9 s.  Monte Carlo
-    samples ``trials`` >= 1 supports, trial t's being
-    ``sample_without_replacement(mix_seed(seed, t), N, r)``, and returns the
-    max deviation seen, which is a certified lower bound on delta_r.  All
-    trials are drawn in one batched pass, :func:`prng.sample_many`, which gives
-    those same supports bit for bit.  The method, the budget and the trial
-    count are checked before the Gram matrix is built.
-
-    Both modes return the largest ||G_S - I||_2 over their supports but
-    solve an eigenproblem only for supports whose cheap upper bound, the
-    Frobenius norm ||G_S - I||_F, could beat the worst deviation already
-    found; skipped supports cannot, so the value is the one solving every
-    support gives, bit for bit (see :func:`_max_deviation_over`).
+    Exhaustive mode is exact over all C(N, r) supports: from the worst of a
+    few real supports found greedily (:func:`_greedy_worst`), it grows
+    supports most coupled index first, drops every prefix whose completions
+    cannot beat it (:func:`_candidates`) and solves the rest through
+    :func:`_max_deviation_over`.  :class:`RipBudgetError` is raised when
+    C(N, r) > ``budget``, which counts supports, not work: near r = N little
+    is pruned, and r = 27 on a 24 x 32 Gaussian takes about 10 s.  Monte Carlo
+    solves ``trials`` >= 1 supports, trial t's being
+    ``sample_without_replacement(mix_seed(seed, t), N, r)``, all drawn by
+    :func:`prng.sample_many`; its maximum is a certified lower bound on
+    delta_r.  The method, budget and trial count are checked before the Gram.
     """
     if not 1 <= r <= op.n:
         raise ValueError(f"need 1 <= r <= N, got r={r}")
@@ -182,7 +325,13 @@ def rip_estimate(
                 f"C({op.n}, {r}) = {count} supports exceed the budget of {budget}; "
                 "use method='monte_carlo'"
             )
-        delta = _max_deviation_over(_full_gram(op), _combinations(op.n, r))
+        gram = _full_gram(op)
+        dev = _hermitian_deviation(gram)
+        worst = _greedy_worst(gram, dev, r)
+        # the most coupled indices first, so the bounds on completions past q fall fastest
+        order = np.argsort(-np.sum(np.abs(dev) ** 2, axis=1), kind="stable")
+        kept = _candidates(dev[np.ix_(order, order)], r, worst - 1e-9 * max(1.0, worst))
+        delta = max(worst, _max_deviation_over(gram, np.sort(order[kept], axis=1)))
         return RipEstimate(r, delta, delta, "exhaustive")
     if method == "monte_carlo":
         if trials < 1:
@@ -257,27 +406,22 @@ def check_rip_consequences(
 
     checks: list[ConsequenceCheck] = []
 
+    def check(name: str, lhs: float, rhs: float) -> None:
+        checks.append(ConsequenceCheck(name, lhs, rhs))
+
     if "singular_values" in include:
         # singular values of Phi_T within [sqrt(1-delta_r), sqrt(1+delta_r)]
         sub = mat[:, support.indices]
         sing = np.linalg.svd(sub, compute_uv=False)
         d_r = delta(len(support))
-        checks.append(
-            ConsequenceCheck("singular_value_upper", float(sing.max()), math.sqrt(1 + d_r))
-        )
-        checks.append(
-            ConsequenceCheck("singular_value_lower", math.sqrt(max(1 - d_r, 0.0)), float(sing.min()))
-        )
+        check("singular_value_upper", float(sing.max()), math.sqrt(1 + d_r))
+        check("singular_value_lower", math.sqrt(max(1 - d_r, 0.0)), float(sing.min()))
 
     if "approximate_orthogonality" in include:
         # disjoint column blocks are nearly orthogonal: ||Phi_S* Phi_T|| <= delta_{|S|+|T|}
         cross = mat[:, disjoint.indices].conj().T @ mat[:, support.indices]
         cross_norm = float(np.linalg.svd(cross, compute_uv=False).max())
-        checks.append(
-            ConsequenceCheck(
-                "approximate_orthogonality", cross_norm, delta(len(support) + len(disjoint))
-            )
-        )
+        check("approximate_orthogonality", cross_norm, delta(len(support) + len(disjoint)))
 
     if "cross_correlation" in include:
         # ||Phi_T* Phi x|_{T^c}|| <= delta_r' ||x|_{T^c}|| with r' >= |T u supp(x)|
@@ -285,24 +429,15 @@ def check_rip_consequences(
         tail = restrict(x, SupportSet(support.complement().indices[:r], n))
         lhs = float(np.linalg.norm(mat[:, support.indices].conj().T @ (mat @ tail)))
         r_union = len(support.union(support_of(tail)))
-        checks.append(
-            ConsequenceCheck(
-                "cross_correlation", lhs, delta(max(r_union, 1)) * float(np.linalg.norm(tail))
-            )
-        )
+        check("cross_correlation", lhs, delta(max(r_union, 1)) * float(np.linalg.norm(tail)))
 
     if "block_gershgorin" in include:
-        checks.append(ConsequenceCheck("block_gershgorin", delta(c * r), c * delta(2 * r)))
+        check("block_gershgorin", delta(c * r), c * delta(2 * r))
 
     if "energy_bound" in include:
         # nonsparse vectors inflate by at most sqrt(1+delta_r) (l2 + l1/sqrt(r))
         nx = norms(x)
-        checks.append(
-            ConsequenceCheck(
-                "energy_bound",
-                float(np.linalg.norm(mat @ x)),
-                math.sqrt(1 + delta(r)) * (nx.l2 + nx.l1 / math.sqrt(r)),
-            )
-        )
+        bound = math.sqrt(1 + delta(r)) * (nx.l2 + nx.l1 / math.sqrt(r))
+        check("energy_bound", float(np.linalg.norm(mat @ x)), bound)
 
     return RipConsequenceReport(tuple(checks), deltas)

@@ -122,19 +122,26 @@ def operator_descriptor(op: SamplingOperator) -> dict:
     raise TypeError(f"cannot describe operator {type(op).__name__}")
 
 
+def json_int(value) -> int:
+    """``int(value)`` for a JSON count or seed; a bool or a fraction is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def operator_from_descriptor(desc: dict) -> SamplingOperator:
     kind = desc.get("kind")
     if kind == "identity":
-        return IdentityOperator(int(desc["n"]))
+        return IdentityOperator(json_int(desc["n"]))
     if kind == "gaussian":
-        return GaussianOperator(int(desc["m"]), int(desc["n"]), int(desc["seed"]))
+        return GaussianOperator(json_int(desc["m"]), json_int(desc["n"]), json_int(desc["seed"]))
     if kind == "partial_fourier":
         rows = desc.get("rows")
         seed = desc.get("seed")
         return PartialFourierOperator(
-            int(desc["m"]),
-            int(desc["n"]),
-            seed=None if seed is None else int(seed),
+            json_int(desc["m"]),
+            json_int(desc["n"]),
+            seed=None if seed is None else json_int(seed),
             rows=None if rows is None else np.asarray(rows, dtype=np.int64),
         )
     if kind == "dense":

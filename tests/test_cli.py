@@ -261,6 +261,27 @@ MALFORMED = [
      "bench.scenarios[1].operator"),
     ("bench", {"bench": {"scenarios": [{"operator": GOOD_OPERATOR, "iterations": "x"}]}},
      "bench.scenarios[0]"),
+    # a count or seed that int() would truncate or take as 1
+    ("recover", {"recovery.s": 2.5}, "recovery"),
+    ("recover", {"recovery.max_iterations": 3.5}, "recovery"),
+    ("recover", {"recovery.lsq.iterations": True}, "recovery.lsq"),
+    ("sweep", {"recovery.halting.1.count": 2.5}, "recovery.halting[1]"),
+    ("recover", {"master_seed": 2.5}, "master_seed"),
+    ("sweep", {"master_seed": True}, "master_seed"),
+    ("recover", {"operator.seed": 11.5}, "operator"),
+    ("rip", {"operator.m": 32.5}, "operator"),
+    ("recover", {"signal.position_seed": 12.5}, "signal"),
+    ("recover", {"signal.s": 3.5}, "signal"),
+    ("recover", {"noise": {"norm": 0.1, "seed": 0.5}}, "noise"),
+    ("sweep", {"trials": 2.5}, "trials"),
+    ("sweep", {"trials": True}, "trials"),
+    ("sweep", {"sweep": {"m": [32.5]}}, "sweep"),
+    ("bench", {"bench": {"scenarios": [{"operator": GOOD_OPERATOR, "iterations": 2.5}]}},
+     "bench.scenarios[0]"),
+    ("recover", {"success_threshold": -1}, "success_threshold"),
+    ("sweep", {"success_threshold": -1e-3}, "success_threshold"),
+    ("sweep", {"success_threshold": float("nan")}, "success_threshold"),
+    ("recover", {"success_threshold": float("inf")}, "success_threshold"),
 ]
 
 
@@ -269,6 +290,12 @@ def set_path(cfg, dotted, value):
     for key in parents:
         cfg = cfg[int(key)] if isinstance(cfg, list) else cfg[key]
     cfg[int(last) if isinstance(cfg, list) else last] = value
+
+
+def eval_path(cfg, dotted):
+    for key in dotted.split("."):
+        cfg = cfg[int(key)] if isinstance(cfg, list) else cfg[key]
+    return cfg
 
 
 class TestMalformedValues:
@@ -287,6 +314,20 @@ class TestMalformedValues:
         assert err.startswith(f"config error: {path}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_integral_floats_read_as_their_integers(self, tmp_path):
+        cfg = json.loads(FIXTURE.read_text())
+        floats = json.loads(FIXTURE.read_text())
+        for dotted in ("master_seed", "operator.seed", "signal.s", "recovery.s",
+                       "recovery.max_iterations", "recovery.halting.1.count", "trials"):
+            set_path(floats, dotted, float(eval_path(cfg, dotted)))
+        outputs = []
+        for name, payload in (("ints", cfg), ("floats", floats)):
+            out = tmp_path / name
+            config = write_config(tmp_path, payload, name=f"{name}.json")
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_config_error_in_a_trial_stops_the_sweep_before_output(
         self, tmp_path, capsys, monkeypatch

@@ -18,7 +18,6 @@ from cosamp.operators import (
 from cosamp.rip import (
     RipBudgetError,
     RipEstimate,
-    _combinations,
     check_rip_consequences,
     gram_deviation,
     rip_estimate,
@@ -197,7 +196,7 @@ class TestPrunedEstimateIsExact:
     def test_bounds_cover_every_deviation(self, op):
         mat = op.materialize()
         gram = mat.conj().T @ mat
-        supports = _combinations(op.n, 4)
+        supports = np.array(list(combinations(range(op.n), 4)))
         bounds = rip._deviation_bounds(gram, supports)
         for support, bound in zip(supports, bounds):
             assert brute_force_max(gram, [support]) <= bound + 1e-12
@@ -245,18 +244,23 @@ class TestPrunedEstimateIsExact:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_enumeration_order_matches_itertools(self, n):
+        # with no floor the descent prunes nothing and yields every support in
+        # lexicographic order
+        dev = rip._hermitian_deviation(np.eye(n) + 0.1 * np.ones((n, n)))
         for r in range(0, n + 2):
             expected = list(combinations(range(n), r))
-            table = _combinations(n, r)
+            table = rip._candidates(dev, r, 0.0)
             assert table.shape == (len(expected), r)
             assert [tuple(row) for row in table.tolist()] == expected
 
     def test_enumeration_memory_stays_near_the_output_for_r_near_n(self):
-        # C(24, 22) = 276 rows; a table of every middle-sized subset would be
-        # C(24, 12) = 2.7e6 rows on the way there
+        # C(24, 22) = 276 supports, none pruned; a level of every
+        # middle-sized prefix would hold C(24, 12) = 2.7e6 rows
+        mat = gaussian_operator(16, 24, seed=3).materialize()
+        dev = rip._hermitian_deviation(mat.T @ mat)
         tracemalloc.start()
         try:
-            table = _combinations(24, 22)
+            table = rip._candidates(dev, 22, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -264,6 +268,141 @@ class TestPrunedEstimateIsExact:
         assert peak <= 2.5 * table.nbytes
 
 
+def unpruned_delta(op, r):
+    """The oracle: one batched ``eigvalsh`` over every ``itertools.combinations``
+    support, with no bound and no pruning."""
+    mat = op.materialize()
+    gram = mat.conj().T @ mat
+    supports = np.array(list(combinations(range(op.n), r)))
+    eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+    return float(np.max(np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])))
+
+
+def rip_cert_operator(k):
+    """The 24 x 32 Gaussian of trial k of acceptance criterion 07."""
+    return gaussian_operator(24, 32, seed=prng.mix_seed(900, k))
+
+
+class TestPrefixDescent:
+    """Exhaustive mode descends supports by prefix and drops whole subtrees;
+    a wrong prune shows up as a delta below the unpruned maximum."""
+
+    @pytest.mark.parametrize("r", [4, 5])
+    @pytest.mark.parametrize("k", range(5))
+    def test_rip_cert_fixtures_match_the_unpruned_oracle(self, k, r):
+        op = rip_cert_operator(k)
+        assert rip_estimate(op, r, "exhaustive").delta_exact == unpruned_delta(op, r)
+
+    @pytest.mark.parametrize("r", range(1, 15))
+    def test_complex_operator_matches_the_unpruned_oracle_at_every_order(self, r):
+        op = complex_operator()
+        assert rip_estimate(op, r, "exhaustive").delta_exact == unpruned_delta(op, r)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_partial_fourier_matches_the_unpruned_oracle(self, r):
+        op = partial_fourier_operator(16, 32, seed=2)
+        assert rip_estimate(op, r, "exhaustive").delta_exact == unpruned_delta(op, r)
+
+    @pytest.mark.parametrize(
+        "k, expected",
+        [
+            (0, "0x1.ef700134d9ac6p+0"),
+            (5, "0x1.47f3a46cb7c50p+1"),
+            (306, "0x1.c46f11c360454p+0"),
+            (308, "0x1.a9644cf621a28p+0"),
+        ],
+    )
+    def test_delta_6_of_rip_cert_fixtures_is_frozen(self, k, expected):
+        # the maximum over all 906,192 supports, as the enumeration that the
+        # descent replaced found it; the descent prunes least on seeds 306
+        # and 308 and most on seed 5
+        assert rip_estimate(rip_cert_operator(k), 6, "exhaustive").delta_exact.hex() == expected
+
+    @pytest.mark.parametrize(
+        "op",
+        [gaussian_operator(12, 16, seed=4), complex_operator(), gated_operator(12, seed=5)],
+        ids=["gauss", "complex", "gated"],
+    )
+    @pytest.mark.parametrize("r", [1, 3, 5, 6])
+    def test_candidates_keep_every_support_above_the_floor(self, op, r):
+        mat = op.materialize()
+        gram = mat.conj().T @ mat
+        everything = np.array(list(combinations(range(op.n), r)))
+        deviations = rip._deviations(gram, everything)
+        dev = rip._hermitian_deviation(gram)
+        top = deviations.max()
+        for floor in [*np.quantile(deviations, [0.0, 0.5, 0.99]), top * (1 - 1e-9)]:
+            table = rip._candidates(dev, r, floor)
+            kept = list(map(tuple, table.tolist()))
+            assert kept == sorted(set(kept))
+            assert set(kept) >= {tuple(s) for s in everything[deviations > floor * (1 + 1e-12)]}
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_descent_keeps_little_beyond_the_worst_support(self, k):
+        # the test on the last index is exact, so with a floor just under
+        # delta_6 almost nothing but the worst support reaches the leaves
+        mat = rip_cert_operator(k).materialize()
+        gram = mat.T @ mat
+        delta = rip_estimate(rip_cert_operator(k), 6, "exhaustive").delta_exact
+        table = rip._candidates(rip._hermitian_deviation(gram), 6, delta * (1 - 1e-9))
+        assert 1 <= table.shape[0] <= 5
+        assert rip._deviations(gram, table).max() == delta
+
+    @pytest.mark.parametrize(
+        "op",
+        [gaussian_operator(12, 16, seed=4), complex_operator(), gated_operator(12, seed=5)],
+        ids=["gauss", "complex", "gated"],
+    )
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_closed_form_extremes_bound_eigvalsh_tightly(self, op, t):
+        mat = op.materialize()
+        dev = rip._hermitian_deviation(mat.conj().T @ mat)
+        sets = np.array(list(combinations(range(op.n), t)))
+        eigs = np.linalg.eigvalsh(dev[sets[:, :, None], sets[:, None, :]])
+        high, low = rip._extremes(dev, sets)
+        scale = np.abs(eigs).max(axis=1) + 1e-300
+        assert np.all(high >= eigs[:, -1]) and np.all(low >= -eigs[:, 0])
+        assert np.all(high - eigs[:, -1] <= 1e-6 * scale)
+        assert np.all(low + eigs[:, 0] <= 1e-6 * scale)
+
+    @pytest.mark.parametrize(
+        "op",
+        [gaussian_operator(12, 16, seed=4), complex_operator(), gated_operator(12, seed=5)],
+        ids=["gauss", "complex", "gated"],
+    )
+    def test_completion_bounds_cover_every_set(self, op):
+        mat = op.materialize()
+        dev = rip._hermitian_deviation(mat.conj().T @ mat)
+        bounds = rip._completion_bounds(dev, 5)
+        for t in range(1, 6):
+            sets = np.array(list(combinations(range(op.n), t)))
+            eigs = np.linalg.eigvalsh(dev[sets[:, :, None], sets[:, None, :]])
+            assert np.all(bounds[0, t, sets[:, 0]] >= eigs[:, -1])
+            assert np.all(bounds[1, t, sets[:, 0]] >= -eigs[:, 0])
+
+    def test_support_whose_bound_barely_beats_the_greedy_worst_is_solved(self, monkeypatch):
+        # G_S - I on S = (3, 4, 5) is 0.24 J, rank one, so its Frobenius bound
+        # equals its deviation 0.72, the largest; a starting worst just below
+        # it must not prune it
+        gram = np.eye(6)
+        gram[3:, 3:] += 0.24
+        op = dense_operator(np.linalg.cholesky(gram).T)
+        delta = unpruned_delta(op, 3)
+        assert delta == pytest.approx(0.72)
+        monkeypatch.setattr(rip, "_greedy_worst", lambda *args: delta * (1 - 1e-10))
+        assert rip_estimate(op, 3, "exhaustive").delta_exact == delta
+
+    def test_exhaustive_delta_6_stays_below_8_mb(self):
+        # enumerating all C(32, 6) supports took a 43 MB table before the
+        # descent; seed 308 is a rip-cert fixture on which it prunes least
+        op = rip_cert_operator(308)
+        tracemalloc.start()
+        try:
+            rip_estimate(op, 6, "exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 class MaterializeForbidden:
     """An operator that may not be densified."""
 
