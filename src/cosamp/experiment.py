@@ -37,7 +37,7 @@ from .recovery import (
     SampleNorm,
     recover,
 )
-from .serialize import json_int, operator_from_descriptor, signal_to_json
+from .serialize import json_int, json_number, operator_from_descriptor, signal_to_json
 from .variants import final_polish, recover_prune_first_variant, recover_residual_variant
 
 CONFIG_VERSION = "config_v1"
@@ -74,14 +74,14 @@ def _reading(path: str):
     ConfigError naming it; the paths of nested reads join with dots."""
     try:
         yield
-    except (KeyError, ValueError, TypeError, AttributeError, OSError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OSError, OverflowError) as exc:
         joint = "." if isinstance(exc, ConfigError) else ": "
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"{path}{joint}{detail}") from exc
 
 
-def _fmt(value: float) -> str:
-    return "%.12e" % float(value)
+def _fmt(value: float | None) -> str:
+    return "" if value is None else "%.12e" % float(value)
 
 
 def load_config(path) -> dict:
@@ -114,9 +114,9 @@ def parse_halting(entries) -> list:
             if kind == "fixed_iterations":
                 rules.append(FixedIterations(json_int(entry["count"])))
             elif kind == "sample_norm":
-                rules.append(SampleNorm(float(entry["epsilon"])))
+                rules.append(SampleNorm(json_number(entry["epsilon"])))
             elif kind == "proxy_infinity_norm":
-                rules.append(ProxyInfinityNorm(float(entry["eta"])))
+                rules.append(ProxyInfinityNorm(json_number(entry["eta"])))
             else:
                 raise ValueError(f"unknown halting rule kind {kind!r}")
     return rules
@@ -173,21 +173,22 @@ def build_signal(spec: dict, seeds: tuple[int, int, int]) -> np.ndarray:
     with _reading("signal"):
         kind = spec.get("kind")
         if kind == "sparse":
+            magnitudes = spec.get("magnitudes")
             return make_sparse(
                 json_int(spec["n"]),
                 json_int(spec["s"]),
                 spec.get("law", "flat"),
-                alpha=float(spec.get("alpha", 0.5)),
-                magnitudes=spec.get("magnitudes"),
-                scale=float(spec.get("scale", 1.0)),
+                alpha=json_number(spec.get("alpha", 0.5)),
+                magnitudes=None if magnitudes is None else [json_number(v) for v in magnitudes],
+                scale=json_number(spec.get("scale", 1.0)),
                 position_seed=json_int(spec.get("position_seed", position_seed)),
                 sign_seed=json_int(spec.get("sign_seed", sign_seed)),
             )
         if kind == "compressible":
             return make_compressible(
                 CompressibleSpec(
-                    p=float(spec["p"]),
-                    magnitude=float(spec.get("magnitude", 1.0)),
+                    p=json_number(spec["p"]),
+                    magnitude=json_number(spec.get("magnitude", 1.0)),
                     n=json_int(spec["n"]),
                     sign_seed=json_int(spec.get("sign_seed", sign_seed)),
                     permutation_seed=json_int(spec.get("permutation_seed", permutation_seed)),
@@ -204,9 +205,9 @@ def build_noise(spec: dict | None, m: int, complex_samples: bool, seed: int) -> 
         noise_seed = json_int(spec.get("seed", seed))
         key = "norm" if "norm" in spec else "sigma"
         with _reading(key):
-            scale = float(spec[key])
-            if not 0.0 <= scale < math.inf:
-                raise ValueError(f"must be finite and nonnegative, got {scale}")
+            if not (isinstance(spec[key], str) or 0.0 <= spec[key] < math.inf):
+                raise ValueError(f"must be finite and nonnegative, got {spec[key]}")
+            scale = json_number(spec[key])
     if complex_samples:
         direction = prng.complex_normals(noise_seed, m)
     else:
@@ -245,9 +246,7 @@ def run_trial(
         op_desc = dict(cfg["operator"])
     if "m" in cell:
         op_desc["m"] = cell["m"]
-    derived_op_seed = prng.mix_seed(master, cell_index, trial_index, STREAM_OPERATOR)
-    if op_desc.get("kind") in ("gaussian", "partial_fourier") and "seed" not in op_desc:
-        op_desc["seed"] = derived_op_seed
+    op_desc.setdefault("seed", prng.mix_seed(master, cell_index, trial_index, STREAM_OPERATOR))
     op = build_operator(op_desc)
 
     with _reading("signal"):
@@ -309,9 +308,10 @@ def success_threshold(cfg: dict, truth_norm: float, noise_norm: float) -> float:
     explicit = cfg.get("success_threshold")
     if explicit is not None:
         with _reading("success_threshold"):
-            if not 0 <= float(explicit) < math.inf:
-                raise ValueError(f"need a finite threshold >= 0, got {explicit!r}")
-            return float(explicit)
+            threshold = json_number(explicit)
+            if threshold < 0:
+                raise ValueError(f"need a threshold >= 0, got {explicit!r}")
+            return threshold
     if noise_norm == 0.0:
         return 1e-4
     return 15.0 * noise_norm / truth_norm if truth_norm > 0 else math.inf
@@ -337,20 +337,12 @@ def report_payload(outcome: TrialOutcome) -> dict:
 
 
 def write_trace_csv(path, report: RecoveryReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in report.trace:
-            writer.writerow(
-                [
-                    row.k,
-                    _fmt(row.v_norm),
-                    _fmt(row.y_inf),
-                    _fmt(row.err_l2) if row.err_l2 is not None else "",
-                    _fmt(row.err_linf) if row.err_linf is not None else "",
-                    _fmt(row.total_time_us()),
-                ]
-            )
+    rows = (
+        [row.k, _fmt(row.v_norm), _fmt(row.y_inf), _fmt(row.err_l2), _fmt(row.err_linf),
+         _fmt(row.total_time_us())]
+        for row in report.trace
+    )
+    Path(path).write_text(_csv_text(TRACE_COLUMNS, rows), encoding="utf-8")
 
 
 def sweep_cells(cfg: dict) -> list[dict]:
@@ -372,8 +364,8 @@ def sweep_cells(cfg: dict) -> list[dict]:
             raise ValueError("axes need explicit values (m, s, noise_norm)")
         grid = itertools.product(m_axis, s_axis, noise_axis)
         return [
-            {"cell_index": index, "m": json_int(m), "s": json_int(s), "noise_norm": float(noise_norm)}
-            for index, (m, s, noise_norm) in enumerate(grid)
+            {"cell_index": index, "m": json_int(m), "s": json_int(s), "noise_norm": json_number(e)}
+            for index, (m, s, e) in enumerate(grid)
         ]
 
 
@@ -420,8 +412,8 @@ def run_sweep(cfg: dict, jobs: int = 1) -> list[CellResult]:
             raise ValueError(f"need at least one trial, got {trials}")
     n = signal_length(cfg)
     for cell in cells:
-        if not (0 < cell["m"] <= n and 0 < cell["s"] <= n and 0 <= cell["noise_norm"] < math.inf):
-            raise ConfigError(f"sweep: cell {cell} needs 0 < m, s <= N={n}, finite noise_norm >= 0")
+        if not (0 < cell["m"] <= n and 0 < cell["s"] <= n and 0 <= cell["noise_norm"]):
+            raise ConfigError(f"sweep: cell {cell} needs 0 < m, s <= N={n}, noise_norm >= 0")
     if jobs <= 1 or len(cells) == 1:
         results = [run_cell(cfg, cell, trials) for cell in cells]
     else:

@@ -12,8 +12,8 @@ slice; forming its Gram would cost more than the few iterations it serves.
 The right-hand side Phi_T* u is one product, or none when the Gram has a
 closed form and the caller passes its ``proxy`` Phi* u; the residual
 ||u - Phi_T z||_2 waits for its first read, except in Richardson, whose
-divergence flag needs it.  The direct normal-equations solver is
-reference scaffolding: exact, but it forms the Gram matrix.
+divergence flag needs it.  The direct solver is the exact solve: it forms
+and factors the Gram matrix; ``final_polish`` and ``solver="direct"`` run it.
 
 Lengths are checked where data enters a view, not on each internal
 product: each solve checks the support, u and the warm start once, and the
@@ -159,10 +159,10 @@ def cg_solve(
 def direct_solve(op: SamplingOperator, T: SupportSet, u, proxy=None, view=None) -> LsqResult:
     """Exact pseudoinverse solve (Phi_T* Phi_T)^{-1} Phi_T* u.
 
-    Reference oracle only: forms and factors the view's Gram (see
-    :meth:`cosamp.operators.RestrictedView.gram`), so it is deliberately not the
-    production path.  Raises :class:`RankDeficiencyError` when the smallest
-    Gram eigenvalue falls at or below 1e-12.
+    The exact solve: forms and factors the view's Gram (see
+    :meth:`cosamp.operators.RestrictedView.gram`).  ``final_polish`` and
+    ``LsqConfig(solver="direct")`` run it.  Raises :class:`RankDeficiencyError`
+    when the smallest Gram eigenvalue falls at or below 1e-12.
     """
     _prepare(op, T, u, None)
     view = op.restricted(T) if view is None else view

@@ -31,8 +31,8 @@ class CompressibleSpec:
     def __post_init__(self) -> None:
         if not 0 < self.p <= 1:
             raise ValueError("p must lie in (0, 1]")
-        if self.magnitude <= 0:
-            raise ValueError("magnitude must be positive")
+        if not 0 < self.magnitude < math.inf:
+            raise ValueError(f"magnitude must be positive and finite, got {self.magnitude!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
 
@@ -56,6 +56,8 @@ def make_sparse(
     """
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
+    if not 0 < abs(scale) < math.inf:
+        raise ValueError(f"scale must be finite and nonzero, got {scale!r}")
     if law == "flat":
         mags = np.ones(s)
     elif law == "exponential":
@@ -64,8 +66,8 @@ def make_sparse(
         mags = alpha ** np.arange(s)
     elif law == "custom":
         mags = np.asarray(magnitudes, dtype=np.float64)
-        if mags.size != s or (mags <= 0).any():
-            raise ValueError("custom law needs s positive magnitudes")
+        if mags.size != s or not ((0 < mags) & (mags < math.inf)).all():
+            raise ValueError("custom law needs s positive finite magnitudes")
     else:
         raise ValueError(f"unknown magnitude law {law!r}")
     positions = prng.sample_without_replacement(position_seed, n, s)

@@ -252,7 +252,7 @@ class PartialFourierOperator(SamplingOperator):
     Scaling is chosen so that E ||Phi x||^2 = ||x||^2 over the random row
     set (with m = N the operator is exactly unitary).  Rows are drawn
     without replacement by a seeded Fisher-Yates shuffle unless an explicit
-    row set is given.  Apply/adjoint run in O(N log N) via the FFT.
+    row set is given, and then no seed is kept.  Apply/adjoint run in O(N log N) via the FFT.
 
     ``Phi* Phi`` is circulant with kernel ``g = (N/m) ifft(1_rows)``, computed
     once here (one length-N FFT, N complex values, read-only like ``rows``),
@@ -266,7 +266,8 @@ class PartialFourierOperator(SamplingOperator):
             raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
         if n & (n - 1):
             raise ValueError(f"N must be a power of two, got {n}")
-        if rows is None:
+        drawn = rows is None
+        if drawn:
             if seed is None:
                 raise ValueError("need either a seed or an explicit row set")
             rows = prng.sample_without_replacement(seed, n, m)
@@ -279,7 +280,7 @@ class PartialFourierOperator(SamplingOperator):
         rows.flags.writeable = False
         self.m = int(m)
         self.n = int(n)
-        self.seed = None if seed is None else int(seed)
+        self.seed = int(seed) if drawn else None
         self.rows = rows
         indicator = np.zeros(self.n)
         indicator[rows] = 1.0
@@ -308,11 +309,6 @@ class PartialFourierOperator(SamplingOperator):
         j = np.arange(self.n)
         phases = np.exp(-2j * np.pi * np.outer(self.rows, j) / self.n)
         return phases / math.sqrt(self.m)
-
-
-def gram_matrix(op: SamplingOperator, T: SupportSet) -> np.ndarray:
-    """Phi_T* Phi_T, as ``op.restricted(T).gram()`` forms it."""
-    return op.restricted(T).gram()
 
 
 def identity_operator(n: int) -> IdentityOperator:

@@ -47,8 +47,8 @@ class SampleNorm:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not self.epsilon >= 0:  # NaN included
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class ProxyInfinityNorm:
     eta: float
 
     def __post_init__(self) -> None:
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not self.eta >= 0:  # NaN included
+            raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
 
 
 HaltingRule = Union[FixedIterations, SampleNorm, ProxyInfinityNorm]

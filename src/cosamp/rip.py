@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import prng
-from .operators import SamplingOperator, gram_matrix
+from .operators import SamplingOperator
 from .recovery import StepBound
 from .signals import SupportSet, norms, restrict, support_of
 
@@ -57,7 +57,7 @@ class RipEstimate:
 
 def gram_deviation(op: SamplingOperator, T: SupportSet) -> float:
     """Exact ||Phi_T* Phi_T - I||_2 via a dense eigendecomposition of the Gram."""
-    eigs = np.linalg.eigvalsh(gram_matrix(op, T))
+    eigs = np.linalg.eigvalsh(op.restricted(T).gram())
     return float(max(eigs[-1] - 1.0, 1.0 - eigs[0]))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -123,10 +124,18 @@ def operator_descriptor(op: SamplingOperator) -> dict:
 
 
 def json_int(value) -> int:
-    """``int(value)`` for a JSON count or seed; a bool or a fraction is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)``, exact at any size, for a JSON count or seed; a bool, a string or a
+    fraction is an error."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def json_number(value) -> float:
+    """``float(value)`` for a finite JSON real; a bool or a string is an error."""
+    if isinstance(value, (bool, str)) or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def operator_from_descriptor(desc: dict) -> SamplingOperator:
@@ -142,7 +151,7 @@ def operator_from_descriptor(desc: dict) -> SamplingOperator:
             json_int(desc["m"]),
             json_int(desc["n"]),
             seed=None if seed is None else json_int(seed),
-            rows=None if rows is None else np.asarray(rows, dtype=np.int64),
+            rows=None if rows is None else np.array([json_int(r) for r in rows], dtype=np.int64),
         )
     if kind == "dense":
         if "path" in desc:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,11 @@ class TestRecoverCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "v_norm", "y_inf", "err_l2", "err_linf", "step_times_us"]
         assert len(rows) - 1 == report["iterations_run"]
+
+    def test_trace_lines_end_in_newline_only(self, tmp_path):
+        assert main(["recover", "--config", str(FIXTURE), "--out", str(tmp_path)]) == EXIT_OK
+        text = (tmp_path / "trace.csv").read_bytes()
+        assert b"\r" not in text and text.endswith(b"\n")
 
     def test_zero_iteration_config(self, tmp_path):
         cfg = json.loads(FIXTURE.read_text())
@@ -282,6 +288,26 @@ MALFORMED = [
     ("sweep", {"success_threshold": -1e-3}, "success_threshold"),
     ("sweep", {"success_threshold": float("nan")}, "success_threshold"),
     ("recover", {"success_threshold": float("inf")}, "success_threshold"),
+    # a config number that is a bool, a string, NaN or infinite, or that the model cannot use
+    ("recover", {"recovery.halting.0.epsilon": True}, "recovery.halting[0]"),
+    ("recover", {"recovery.halting.0.epsilon": float("nan")}, "recovery.halting[0]"),
+    ("recover", {"recovery.halting.0": {"kind": "proxy_infinity_norm", "eta": float("nan")}},
+     "recovery.halting[0]"),
+    ("recover", {"signal.scale": 0}, "signal"),
+    ("sweep", {"signal.scale": float("inf")}, "signal"),
+    ("sweep", {"signal": {"kind": "compressible", "p": 0.7, "magnitude": float("inf"), "n": 64}},
+     "signal"),
+    ("recover", {"signal.scale": "2"}, "signal"),
+    ("recover", {"recovery.halting.0.epsilon": "1e-9"}, "recovery.halting[0]"),
+    ("recover", {"noise": {"norm": "0.01"}}, "noise.norm"),
+    ("sweep", {"success_threshold": "0.5"}, "success_threshold"),
+    ("sweep", {"trials": "2"}, "trials"),
+    ("recover", {"master_seed": "7"}, "master_seed"),
+    ("recover", {"recovery.halting.1.count": "3"}, "recovery.halting[1]"),
+    ("recover", {"operator": {"kind": "partial_fourier", "m": 2, "n": 64, "rows": [0.5, 3.7]}},
+     "operator"),
+    ("recover", {"operator": {"kind": "partial_fourier", "m": 2, "n": 64, "rows": [0, 2**70]}},
+     "operator"),
 ]
 
 
@@ -328,6 +354,23 @@ class TestMalformedValues:
             assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_infinite_signal_scale_stops_the_sweep_before_any_recovery(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        recoveries = []
+        monkeypatch.setattr(experiment, "recover", lambda *args: recoveries.append(args))
+        cfg = json.loads(FIXTURE.read_text())
+        cfg["signal"]["scale"] = float("inf")
+        cfg["trials"] = 3
+        config = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: signal: expected a finite number, got inf\n"
+        assert recoveries == [] and caught == []
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_config_error_in_a_trial_stops_the_sweep_before_output(
         self, tmp_path, capsys, monkeypatch

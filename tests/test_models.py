@@ -71,6 +71,20 @@ class TestMakeSparse:
         with pytest.raises(ValueError):
             make_sparse(4, 2, "exponential", alpha=1.5, position_seed=0, sign_seed=0)
 
+    @pytest.mark.parametrize("scale", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_scale_must_be_finite_and_nonzero(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite and nonzero"):
+            make_sparse(8, 2, scale=scale, position_seed=0, sign_seed=0)
+
+    def test_negative_scale_keeps_s_nonzeros(self):
+        x = make_sparse(8, 2, scale=-2.0, position_seed=0, sign_seed=0)
+        assert norms(x).l0 == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_custom_magnitudes_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="positive finite magnitudes"):
+            make_sparse(8, 2, "custom", magnitudes=[1.0, bad], position_seed=0, sign_seed=0)
+
 
 class TestMakeCompressible:
     def test_sorted_magnitudes_follow_power_law(self):
@@ -108,6 +122,11 @@ class TestMakeCompressible:
     def test_deterministic(self):
         spec = CompressibleSpec(p=0.7, magnitude=1.0, n=32, sign_seed=7, permutation_seed=8)
         assert np.array_equal(make_compressible(spec), make_compressible(spec))
+
+    @pytest.mark.parametrize("magnitude", [0.0, -1.0, math.inf, math.nan])
+    def test_magnitude_must_be_positive_and_finite(self, magnitude):
+        with pytest.raises(ValueError, match="magnitude must be positive and finite"):
+            CompressibleSpec(p=0.7, magnitude=magnitude, n=32, sign_seed=7, permutation_seed=8)
 
     def test_constants(self):
         c_p, d_p = compressible_constants(0.5)

@@ -298,6 +298,12 @@ class TestRecover:
 
 
 class TestHaltingRules:
+    @pytest.mark.parametrize("rule", [SampleNorm, ProxyInfinityNorm])
+    @pytest.mark.parametrize("threshold", [-1e-9, float("nan")])
+    def test_threshold_must_be_nonnegative(self, rule, threshold):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            rule(threshold)
+
     def test_sample_norm_fires_on_zero(self):
         op = cosamp.identity_operator(4)
         state = initial_state(op, np.zeros(4), 1)

@@ -5,12 +5,15 @@ import pytest
 
 from cosamp import prng
 from cosamp.operators import (
+    PartialFourierOperator,
     dense_operator,
     gaussian_operator,
     identity_operator,
     partial_fourier_operator,
 )
 from cosamp.serialize import (
+    json_int,
+    json_number,
     operator_descriptor,
     operator_from_descriptor,
     read_matrix,
@@ -146,6 +149,12 @@ class TestOperatorDescriptors:
         back = operator_from_descriptor(desc)
         assert np.array_equal(back.rows, op.rows)
 
+    def test_partial_fourier_explicit_rows_win_over_a_seed(self):
+        op = PartialFourierOperator(4, 16, seed=5, rows=[0, 3, 7, 9])
+        assert op.seed is None
+        back = operator_from_descriptor(operator_descriptor(op))
+        assert back.rows.tolist() == [0, 3, 7, 9]
+
     def test_dense_inline(self):
         mat = prng.normals(7, 6).reshape(2, 3)
         back = operator_from_descriptor(operator_descriptor(dense_operator(mat)))
@@ -161,3 +170,26 @@ class TestOperatorDescriptors:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown operator kind"):
             operator_from_descriptor({"kind": "toeplitz"})
+
+
+class TestConfigNumbers:
+    def test_int_stays_exact_at_the_top_of_the_seed_range(self):
+        value = json_int(2**64 - 1)
+        assert type(value) is int and value == 2**64 - 1
+
+    @pytest.mark.parametrize("value", [True, "3", 2.5, float("nan"), float("inf"), -float("inf")])
+    def test_int_refuses(self, value):
+        with pytest.raises(ValueError, match="expected an integer"):
+            json_int(value)
+
+    @pytest.mark.parametrize("value", [0, 3, -2.5, 1e-300, 2**64 - 1, 1.7976931348623157e308])
+    def test_number_reads_finite_ints_and_floats(self, value):
+        number = json_number(value)
+        assert type(number) is float and number == float(value)
+
+    @pytest.mark.parametrize(
+        "value", [True, False, "0.5", float("nan"), float("inf"), -float("inf"), 10**400, -(10**400)]
+    )
+    def test_number_refuses_with_a_value_error(self, value):
+        with pytest.raises(ValueError, match="expected a finite number"):
+            json_number(value)
