@@ -153,7 +153,7 @@ def build_operator(desc: dict) -> SamplingOperator:
 
 def master_seed(cfg: dict) -> int:
     with _reading("master_seed"):
-        return json_int(cfg.get("master_seed", 0))
+        return prng.check_seed(json_int(cfg.get("master_seed", 0)))
 
 
 def signal_length(cfg: dict) -> int:
@@ -181,8 +181,8 @@ def build_signal(spec: dict, seeds: tuple[int, int, int]) -> np.ndarray:
                 alpha=json_number(spec.get("alpha", 0.5)),
                 magnitudes=None if magnitudes is None else [json_number(v) for v in magnitudes],
                 scale=json_number(spec.get("scale", 1.0)),
-                position_seed=json_int(spec.get("position_seed", position_seed)),
-                sign_seed=json_int(spec.get("sign_seed", sign_seed)),
+                position_seed=prng.check_seed(json_int(spec.get("position_seed", position_seed))),
+                sign_seed=prng.check_seed(json_int(spec.get("sign_seed", sign_seed))),
             )
         if kind == "compressible":
             return make_compressible(
@@ -190,8 +190,9 @@ def build_signal(spec: dict, seeds: tuple[int, int, int]) -> np.ndarray:
                     p=json_number(spec["p"]),
                     magnitude=json_number(spec.get("magnitude", 1.0)),
                     n=json_int(spec["n"]),
-                    sign_seed=json_int(spec.get("sign_seed", sign_seed)),
-                    permutation_seed=json_int(spec.get("permutation_seed", permutation_seed)),
+                    sign_seed=prng.check_seed(json_int(spec.get("sign_seed", sign_seed))),
+                    permutation_seed=prng.check_seed(
+                        json_int(spec.get("permutation_seed", permutation_seed))),
                 )
             )
         raise ValueError(f"unknown signal kind {kind!r}")
@@ -202,7 +203,7 @@ def build_noise(spec: dict | None, m: int, complex_samples: bool, seed: int) -> 
     if not spec:
         return None
     with _reading("noise"):
-        noise_seed = json_int(spec.get("seed", seed))
+        noise_seed = prng.check_seed(json_int(spec.get("seed", seed)))
         key = "norm" if "norm" in spec else "sigma"
         with _reading(key):
             if not (isinstance(spec[key], str) or 0.0 <= spec[key] < math.inf):
@@ -276,6 +277,9 @@ def run_trial(
     u = op.apply(truth)
     if noise is not None:
         u = u + noise
+    truth_norm = float(np.linalg.norm(truth))
+    noise_norm = float(np.linalg.norm(noise)) if noise is not None else 0.0
+    threshold = success_threshold(cfg, truth_norm, noise_norm)  # read before any recovery runs
 
     start = time.perf_counter()
     report = _dispatch(variant)(op, u, recovery_cfg, truth, noise)
@@ -284,11 +288,9 @@ def run_trial(
         polished = final_polish(op, u, report.approximation)
         report = replace(report, approximation=polished)
 
-    truth_norm = float(np.linalg.norm(truth))
     err = float(np.linalg.norm(truth - report.approximation))
     rel = err / truth_norm if truth_norm > 0 else err
-    noise_norm = float(np.linalg.norm(noise)) if noise is not None else 0.0
-    success = rel <= success_threshold(cfg, truth_norm, noise_norm)
+    success = rel <= threshold
     per_iter_us = elapsed_us / max(report.iterations_run, 1)
     return TrialOutcome(report, truth, noise_norm, rel, success, per_iter_us)
 

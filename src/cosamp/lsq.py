@@ -81,26 +81,24 @@ class LsqResult:
         return self.residual() if callable(self.residual) else self.residual
 
 
-def _result(view: RestrictedView, u, z, iterations) -> LsqResult:
-    if not isinstance(u, np.ndarray) or u.flags.writeable or not u.flags.owndata:
+def _result(view: RestrictedView, u: np.ndarray, z, iterations) -> LsqResult:
+    if u.flags.writeable or not u.flags.owndata:
         u = np.array(u)  # a read-only array that owns its data needs no copy
     z.flags.writeable = False
     return LsqResult(z, iterations, lambda: float(np.linalg.norm(u - view.apply(z))))
 
 
-def _prepare(op: SamplingOperator, T: SupportSet, u, z0) -> np.ndarray:
+def _prepare(op: SamplingOperator, T: SupportSet, u, z0, view):
     if len(T) < 1:
         raise ValueError("support must be nonempty")
     u = np.asarray(u)
     if u.size != op.m:
         raise ValueError(f"sample vector length {u.size} != m = {op.m}")
-    dtype = np.complex128 if (op.is_complex or np.iscomplexobj(u)) else np.float64
-    if z0 is None:
-        return np.zeros(len(T), dtype=dtype)
-    z0 = np.asarray(z0).astype(dtype)
-    if z0.size != len(T):
-        raise ValueError(f"warm start length {z0.size} != |T| = {len(T)}")
-    return z0
+    dtype = np.complex128 if (op.is_complex or u.dtype.kind == "c") else np.float64
+    z = np.zeros(len(T), dtype=dtype) if z0 is None else np.asarray(z0).astype(dtype)
+    if z.size != len(T):
+        raise ValueError(f"warm start length {z.size} != |T| = {len(T)}")
+    return u, z, op.restricted(T) if view is None else view
 
 
 def richardson_solve(
@@ -112,8 +110,7 @@ def richardson_solve(
     error: if the sample-space residual norm grows by 10x over the run the
     result is flagged, and the caller decides what to do.
     """
-    z = _prepare(op, T, u, z0)
-    view = op.restricted(T) if view is None else view
+    u, z, view = _prepare(op, T, u, z0, view)
     atu = view.rhs(u, proxy)
     initial_residual = float(np.linalg.norm(u - view.apply(z)))
     for _ in range(iterations):
@@ -132,11 +129,8 @@ def cg_solve(
     docstring).  Terminates early on a zero residual (e.g. when seeded with
     the exact solution).
     """
-    z = _prepare(op, T, u, z0)
-    view = op.restricted(T) if view is None else view
-    atu = view.rhs(u, proxy)
-    resid = atu - view.normal(z)
-    direction = resid.copy()
+    u, z, view = _prepare(op, T, u, z0, view)
+    resid = direction = view.rhs(u, proxy) - view.normal(z)  # neither is written in place
     rho = float(np.vdot(resid, resid).real)
     used = 0
     for _ in range(iterations):
@@ -148,11 +142,12 @@ def cg_solve(
             break
         alpha = rho / curvature
         z = z + alpha * direction
-        resid = resid - alpha * gram_d
-        rho_next = float(np.vdot(resid, resid).real)
-        direction = resid + (rho_next / rho) * direction
-        rho = rho_next
         used += 1
+        if used == iterations:  # the last step's residual and direction would go unread
+            break
+        resid = resid - alpha * gram_d
+        rho, rho_prev = float(np.vdot(resid, resid).real), rho
+        direction = resid + (rho / rho_prev) * direction
     return _result(view, u, z, used)
 
 
@@ -164,8 +159,7 @@ def direct_solve(op: SamplingOperator, T: SupportSet, u, proxy=None, view=None) 
     ``LsqConfig(solver="direct")`` run it.  Raises :class:`RankDeficiencyError`
     when the smallest Gram eigenvalue falls at or below 1e-12.
     """
-    _prepare(op, T, u, None)
-    view = op.restricted(T) if view is None else view
+    u, _, view = _prepare(op, T, u, None, view)
     gram = view.gram()
     smallest = float(np.linalg.eigvalsh(gram)[0])
     if smallest <= 1e-12:

@@ -241,7 +241,7 @@ class GaussianOperator(DenseOperator):
     def __init__(self, m: int, n: int, seed: int):
         if not 0 < m <= n:
             raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
-        entries = prng.normals(seed, m * n).reshape(m, n) / math.sqrt(m)
+        entries = prng.normals(prng.check_seed(seed), m * n).reshape(m, n) / math.sqrt(m)
         super().__init__(entries)
         self.seed = int(seed)
 
@@ -270,7 +270,7 @@ class PartialFourierOperator(SamplingOperator):
         if drawn:
             if seed is None:
                 raise ValueError("need either a seed or an explicit row set")
-            rows = prng.sample_without_replacement(seed, n, m)
+            rows = prng.sample_without_replacement(prng.check_seed(seed), n, m)
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size != m:
             raise ValueError(f"row set has {rows.size} rows, expected {m}")

@@ -54,6 +54,13 @@ def _splitmix64(state):
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` if it is a u64, in [0, 2**64); the streams would fold any other int silently."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"a seed must lie in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def mix_seed(*parts: int) -> int:
     """Fold integers into a single 64-bit seed.
 

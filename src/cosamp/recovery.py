@@ -27,8 +27,8 @@ import numpy as np
 
 from .lsq import LsqConfig, LsqResult, solve
 from .operators import RestrictedView, SamplingOperator
-from .signals import (SupportSet, _neg_abs, _select, as_samples, best_s_approx, embed, restrict,
-                      support_of)
+from .signals import (SupportSet, _l2, _neg_abs, _select, as_samples, best_s_approx, embed,
+                      restrict, support_of)  # perfbench's tracer patches best_s_approx here
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,6 @@ class RecoveryConfig:
         if self.max_iterations is not None:
             return self.max_iterations
         return 6 * (self.s + 1)
-
-    def widths(self, n: int) -> tuple[int, int]:
-        """Identification and pruning widths 2s and s, capped at N."""
-        return min(2 * self.s, n), min(self.s, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +233,8 @@ def _iterate(
     non-finite estimate raises :class:`SolverFailure`.
     """
     tick = time.perf_counter_ns()
-    identify_width, prune_width = config.widths(op.n)
-    omega = SupportSet._trusted(_select(y_neg, identify_width), op.n)
+    prune_width = min(config.s, op.n)  # identify 2s, prune to s, both capped at N
+    omega = SupportSet._trusted(_select(y_neg, min(2 * config.s, op.n)), op.n)
     tick = _lap(times, "identify", tick)
     T = merge(state, y_neg, omega, prune_width)
     tick = _lap(times, "merge", tick)
@@ -254,12 +250,13 @@ def _iterate(
             state.k + 1, FloatingPointError("estimate has non-finite coefficients")
         )
     tick = _lap(times, "estimate", tick)
-    kept, chosen = best_s_approx(b[T.indices], prune_width)  # T is sorted: same ties
-    a_next = embed(kept, T)
-    support = SupportSet._trusted(T.indices[chosen.indices], op.n)
+    chosen = _select(_neg_abs(b[T.indices]), prune_width)  # T is sorted: ties break as on b
+    support = SupportSet._trusted(T.indices[chosen], op.n)
+    a_next = restrict(b, support)  # best_s_approx(b, prune_width), selected on T alone
+    kept = a_next[T.indices]
     tick = _lap(times, "prune", tick)
     v_next = u - view.apply(kept, a_next)
-    v_norm = float(np.linalg.norm(v_next))
+    v_norm = _l2(v_next)
     state = RecoveryState(state.k + 1, state.s, a_next, state.a, v_next, y, omega, T, b,
                           lsq_result)
     object.__setattr__(state, "support", support)
@@ -408,7 +405,7 @@ def _drive(
     trace: list[TraceRow] = []
     audits: list[tuple[StepBound, ...]] = []
     diverged: list[int] = []
-    v_norm = float(np.linalg.norm(state.v))
+    v_norm = _l2(state.v)
     c = None  # Phi* u: the first proxy, since v_0 = u
 
     # One halting pass per iteration; see recover for the priority.
@@ -441,7 +438,7 @@ def _drive(
         err_l2 = err_linf = None
         if x is not None:
             diff = x - state.a
-            err_l2 = float(np.linalg.norm(diff))
+            err_l2 = _l2(diff)
             err_linf = _inf_norm(diff)
         trace.append(TraceRow(state.k, v_norm, y_inf, err_l2, err_linf, times))
         if config.record_diagnostics and x is not None:

@@ -95,12 +95,15 @@ class SupportSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SupportSet):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.indices, other.indices)
+        mine, theirs = self.indices, other.indices
+        return self.n == other.n and mine.size == theirs.size and bool((mine == theirs).all())
 
     def union(self, other: "SupportSet") -> "SupportSet":
         if self.n != other.n:
             raise ValueError("ambient dimensions differ")
-        return SupportSet._trusted(np.union1d(self.indices, other.indices), self.n)
+        idx = np.concatenate((self.indices, other.indices))
+        idx.sort()  # then drop repeats: np.union1d's result without its wrappers
+        return SupportSet._trusted(np.concatenate((idx[:1], idx[1:][idx[1:] != idx[:-1]])), self.n)
 
     def complement(self) -> "SupportSet":
         mask = np.ones(self.n, dtype=bool)
@@ -127,6 +130,11 @@ def best_s_approx(x, s: int) -> tuple[np.ndarray, SupportSet]:
     return restrict(x, supp), supp
 
 
+def _l2(x: np.ndarray) -> float:
+    """||x||_2; for a real x, np.linalg.norm's own formula sqrt(x . x), without its wrappers."""
+    return math.sqrt(x.dot(x)) if x.dtype.kind == "f" else float(np.linalg.norm(x))
+
+
 def _neg_abs(x) -> np.ndarray:
     """-|x| in one new array: ascending order is descending magnitude, NaN last."""
     neg = np.abs(x)
@@ -140,20 +148,21 @@ def _select(neg: np.ndarray, s: int) -> np.ndarray:
     if s == 0:
         return np.empty(0, dtype=np.int64)
     # Linear-time selection rather than a stable sort: every entry above the
-    # s-th largest magnitude, then the lowest-index entries tied at it.
-    threshold = np.partition(neg, s - 1)[s - 1] if s < neg.size else np.nan
-    if np.isnan(threshold):
-        # at most s entries are not NaN, and every nonzero one makes the cut
-        chosen = np.flatnonzero(neg < 0)
-    else:
-        chosen = np.flatnonzero(neg <= threshold)
-        if chosen.size > s:
-            # more entries tie at the threshold than fit: the lowest-index ones stay
-            above = neg[chosen] < threshold
-            above[np.flatnonzero(~above)[: s - np.count_nonzero(above)]] = True
-            chosen = chosen[above]
-        if threshold == 0:  # exact zeros made the cut; they are never selected
-            chosen = chosen[neg[chosen] < 0]
+    # s-th largest magnitude, then the lowest-index entries tied at it.  With no
+    # s-th magnitude, or a NaN one, the threshold is 0: every nonzero entry makes the cut.
+    threshold = 0.0
+    if s < neg.size:
+        part = neg.copy()
+        part.partition(s - 1)  # np.partition's kernel, as .nonzero() is np.flatnonzero's
+        threshold = part[s - 1] if part[s - 1] == part[s - 1] else 0.0
+    chosen = (neg <= threshold).nonzero()[0]
+    if chosen.size > s:
+        # more entries tie at the threshold than fit: the lowest-index ones stay
+        above = neg[chosen] < threshold
+        above[(~above).nonzero()[0][: s - np.count_nonzero(above)]] = True
+        chosen = chosen[above]
+    if threshold == 0:  # exact zeros made the cut; they are never selected
+        chosen = chosen[neg[chosen] < 0]
     return chosen
 
 
@@ -162,7 +171,7 @@ def restrict(x, T: SupportSet) -> np.ndarray:
     x = np.asarray(x)
     if x.size != T.n:
         raise ValueError(f"signal length {x.size} != support ambient {T.n}")
-    out = np.zeros_like(x)
+    out = np.zeros(x.shape, x.dtype)
     out[T.indices] = x[T.indices]
     return out
 

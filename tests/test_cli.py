@@ -308,6 +308,16 @@ MALFORMED = [
      "operator"),
     ("recover", {"operator": {"kind": "partial_fourier", "m": 2, "n": 64, "rows": [0, 2**70]}},
      "operator"),
+    # a seed outside [0, 2**64), which the streams would fold into range
+    ("recover", {"master_seed": -1}, "master_seed"),
+    ("sweep", {"master_seed": 2**64}, "master_seed"),
+    ("recover", {"operator.seed": 2**70}, "operator"),
+    ("recover", {"operator": {"kind": "partial_fourier", "m": 2, "n": 64, "seed": -1}}, "operator"),
+    ("recover", {"signal.position_seed": -1}, "signal"),
+    ("sweep", {"signal.sign_seed": 2**64 + 3}, "signal"),
+    ("recover", {"signal": {"kind": "compressible", "p": 0.7, "n": 64, "permutation_seed": -2}},
+     "signal"),
+    ("recover", {"noise": {"norm": 0.1, "seed": 2**64}}, "noise"),
 ]
 
 
@@ -371,6 +381,27 @@ class TestMalformedValues:
         assert capsys.readouterr().err == "config error: signal: expected a finite number, got inf\n"
         assert recoveries == [] and caught == []
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_malformed_success_threshold_stops_the_sweep_before_any_recovery(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        recoveries = []
+        real_recover = experiment.recover
+        monkeypatch.setattr(experiment, "recover",
+                            lambda *args: recoveries.append(args) or real_recover(*args))
+        cfg = json.loads(FIXTURE.read_text())
+        cfg["success_threshold"] = "0.5"
+        code = main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: success_threshold: ")
+        assert recoveries == []
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_flag_outside_u64_is_a_config_error(self, tmp_path, capsys, seed):
+        code = main(["recover", "--config", str(FIXTURE), "--out", str(tmp_path), "--seed", seed])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: master_seed: ")
 
     def test_config_error_in_a_trial_stops_the_sweep_before_output(
         self, tmp_path, capsys, monkeypatch

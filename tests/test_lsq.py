@@ -389,6 +389,65 @@ class TestInputChecks:
             solve(op, T, np.ones(op.m), None, LsqConfig(solver=solver))
 
 
+class TestPublicContract:
+    """What a caller may rely on: array-likes in, and a warm start that stays the caller's."""
+
+    CASES = [
+        ("dense", gaussian_operator(16, 32, seed=2)),
+        ("partial_fourier", partial_fourier_operator(16, 32, seed=3)),
+    ]
+    SOLVES = [
+        ("cg", lambda op, T, u, z0: cg_solve(op, T, u, z0)),
+        ("richardson", lambda op, T, u, z0: richardson_solve(op, T, u, z0)),
+        ("solve-cg", lambda op, T, u, z0: solve(op, T, u, z0, LsqConfig("cg"))),
+        ("solve-richardson", lambda op, T, u, z0: solve(op, T, u, z0, LsqConfig("richardson"))),
+        ("solve-direct", lambda op, T, u, z0: solve(op, T, u, z0, LsqConfig("direct"))),
+    ]
+
+    @staticmethod
+    def instance(op):
+        T = SupportSet(np.array([1, 5, 9, 20]), op.n)
+        x = np.zeros(op.n)
+        x[T.indices] = [1.0, -2.0, 0.5, 3.0]
+        u = op.apply(x) + 1e-3 * prng.normals(77, op.m)
+        return T, u, np.array([0.9, -1.8, 0.4, 2.5], dtype=complex if op.is_complex else float)
+
+    @pytest.mark.parametrize("name, run", SOLVES, ids=[n for n, _ in SOLVES])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_lists_give_the_arrays_result(self, case, name, run):
+        _, op = case
+        T, u, z0 = self.instance(op)
+        want = run(op, T, u, z0)
+        got = run(op, T, u.tolist(), z0.tolist())
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.residual_samples_norm == want.residual_samples_norm
+
+    @pytest.mark.parametrize("name, run", SOLVES, ids=[n for n, _ in SOLVES])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_warm_start_is_never_aliased(self, case, name, run):
+        _, op = case
+        T, u, z0 = self.instance(op)
+        before = z0.copy()
+        result = run(op, T, u, z0)
+        assert not np.shares_memory(result.coefficients, z0)
+        assert z0.flags.writeable and z0.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("solver", [cg_solve, solve])
+    def test_exact_warm_start_stays_the_callers(self, solver):
+        # rho = 0 at once: CG returns the warm start's values without an iteration
+        op = identity_operator(8)
+        T = SupportSet(np.array([1, 3, 6]), 8)
+        u = np.arange(8.0)
+        z0 = u[T.indices].copy()
+        result = solver(op, T, u, z0) if solver is cg_solve else solver(op, T, u, z0, LsqConfig())
+        assert result.iterations_used == 0
+        assert result.coefficients.tobytes() == z0.tobytes()
+        assert not np.shares_memory(result.coefficients, z0)
+        assert z0.flags.writeable
+        z0[0] = -1.0  # the caller can still write it, and the result does not move
+        assert result.coefficients[0] == 1.0
+
+
 class TestDispatch:
     def test_solver_names(self):
         op = gated_operator(16, seed=23)  # contraction certain: every delta < 0.1

@@ -293,6 +293,18 @@ class TestGaussian:
         with pytest.raises(ValueError):
             gaussian_operator(10, 5, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, 2**70])
+    def test_seed_outside_u64_is_refused(self, seed):
+        # the streams fold seeds modulo 2**64, so 2**64 + 3 would build seed 3's matrix
+        with pytest.raises(ValueError, match="must lie in"):
+            gaussian_operator(4, 8, seed)
+        with pytest.raises(ValueError, match="must lie in"):
+            partial_fourier_operator(4, 16, seed=seed)
+
+    def test_largest_u64_seed_is_accepted(self):
+        assert gaussian_operator(4, 8, 2**64 - 1).seed == 2**64 - 1
+        assert partial_fourier_operator(4, 16, seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestSubmatrixActions:
     @pytest.fixture()
