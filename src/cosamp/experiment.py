@@ -20,7 +20,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +334,7 @@ def report_payload(outcome: TrialOutcome) -> dict:
         "noise_norm": outcome.noise_norm,
         "success": outcome.success,
         "diverged_iterations": list(report.diverged_iterations),
-        "trace": [asdict(row) for row in report.trace],
+        "trace": [row._asdict() for row in report.trace],
     }
 
 

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import RestrictedView, SamplingOperator
+from .operators import RestrictedView, SamplingOperator, _product
 from .signals import SupportSet
 
 _DIVERGENCE_FACTOR = 10.0
@@ -131,13 +131,13 @@ def cg_solve(
     """
     u, z, view = _prepare(op, T, u, z0, view)
     resid = direction = view.rhs(u, proxy) - view.normal(z)  # neither is written in place
-    rho = float(np.vdot(resid, resid).real)
+    rho = float(_product(resid, resid, np.vdot).real)  # <r, r>: ddot for real r
     used = 0
     for _ in range(iterations):
         if rho == 0.0:
             break
         gram_d = view.normal(direction)
-        curvature = float(np.vdot(direction, gram_d).real)
+        curvature = float(_product(direction, gram_d, np.vdot).real)
         if curvature <= 0.0:
             break
         alpha = rho / curvature
@@ -146,7 +146,7 @@ def cg_solve(
         if used == iterations:  # the last step's residual and direction would go unread
             break
         resid = resid - alpha * gram_d
-        rho, rho_prev = float(np.vdot(resid, resid).real), rho
+        rho, rho_prev = float(_product(resid, resid, np.vdot).real), rho
         direction = resid + (rho / rho_prev) * direction
     return _result(view, u, z, used)
 

@@ -11,7 +11,9 @@ runs on the operator's own ``apply_sub`` / ``adjoint_sub``.  Dense
 operators, unless a subclass overrides those, slice Phi_T once per view
 instead of once per product.  Lengths are checked where data enters a
 view, not on each internal product: the sliced view's ``apply`` /
-``adjoint`` check theirs, its ``normal`` does not.
+``adjoint`` check theirs, its ``normal`` does not.  Dense products of two
+float64 operands run as ``ndarray.dot``, ``@``'s BLAS call without matmul's
+dispatch; any complex operand keeps ``@``, as ``dot``'s bits differ there.
 
 An operator whose Gram matrix ``Phi* Phi`` has a closed form may also offer
 ``gram_sub(T)``, returning ``Phi_T* Phi_T`` without an operator product
@@ -32,9 +34,16 @@ import numpy as np
 from . import prng
 from .signals import SupportSet, embed
 
+_REAL = np.dtype(np.float64)
+
 
 class DimensionMismatchError(ValueError):
     pass
+
+
+def _product(a: np.ndarray, b: np.ndarray, fallback=np.matmul):
+    """``fallback(a, b)``, taken as ``a.dot(b)`` when both are float64 (see above)."""
+    return a.dot(b) if a.dtype == _REAL and b.dtype == _REAL else fallback(a, b)
 
 
 def _check_length(vec, expected: int, what: str) -> np.ndarray:
@@ -147,19 +156,20 @@ class _SlicedView(RestrictedView):
     ``apply_sub`` / ``adjoint_sub`` make on a fresh slice, so the results
     are theirs bit for bit; the columns are the slice.  ``normal`` takes
     the solver's own iterates, so unlike ``apply`` it checks no length.  The
-    slice keeps the gather's memory order, which decides BLAS's bits."""
+    slice keeps the gather's memory order, which decides BLAS's bits.  A
+    real slice times a real vector is ``ndarray.dot``, any complex side ``@``."""
 
     def __init__(self, op: SamplingOperator, T: SupportSet, sub: np.ndarray):
         self.op, self.T, self.sub, self.sub_h, self._gram_sub = op, T, sub, sub.conj().T, None
 
     def apply(self, z, embedded=None) -> np.ndarray:
-        return self.sub @ _check_length(z, len(self.T), "coefficients")
+        return _product(self.sub, _check_length(z, len(self.T), "coefficients"))
 
     def adjoint(self, v) -> np.ndarray:
-        return self.sub_h @ _check_length(v, self.sub.shape[0], "sample vector")
+        return _product(self.sub_h, _check_length(v, self.sub.shape[0], "sample vector"))
 
     def normal(self, z) -> np.ndarray:
-        return self.sub_h @ (self.sub @ z)
+        return _product(self.sub_h, _product(self.sub, z))
 
     def columns(self) -> np.ndarray:
         return self.sub
@@ -200,24 +210,24 @@ class DenseOperator(SamplingOperator):
         self.m, self.n = mat.shape
 
     def apply(self, x) -> np.ndarray:
-        return self.matrix @ _check_length(x, self.n, "signal")
+        return _product(self.matrix, _check_length(x, self.n, "signal"))
 
     def adjoint(self, v) -> np.ndarray:
         v = _check_length(v, self.m, "sample vector")
         if self.is_complex:
             # conj(Phi)^T v = conj(conj(v)^T Phi), without an m x N copy of conj(Phi)
             return (v.conj() @ self.matrix).conj()
-        return self.matrix.T @ v
+        return _product(self.matrix.T, v)
 
     def apply_sub(self, T: SupportSet, coeffs) -> np.ndarray:
         self._check_support(T)
         coeffs = _check_length(coeffs, len(T), "coefficients")
-        return self.matrix[:, T.indices] @ coeffs
+        return _product(self.matrix[:, T.indices], coeffs)
 
     def adjoint_sub(self, T: SupportSet, v) -> np.ndarray:
         self._check_support(T)
         v = _check_length(v, self.m, "sample vector")
-        return self.matrix[:, T.indices].conj().T @ v
+        return _product(self.matrix[:, T.indices].conj().T, v)
 
     def restricted(self, T: SupportSet) -> RestrictedView:
         """Phi_T sliced once; the base view when a subclass overrides a product."""
@@ -241,9 +251,10 @@ class GaussianOperator(DenseOperator):
     def __init__(self, m: int, n: int, seed: int):
         if not 0 < m <= n:
             raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
-        entries = prng.normals(prng.check_seed(seed), m * n).reshape(m, n) / math.sqrt(m)
-        super().__init__(entries)
-        self.seed = int(seed)
+        entries = prng.normals(prng.check_seed(seed), m * n).reshape(m, n)
+        entries /= math.sqrt(m)  # in place: Box-Muller output is finite and ours to keep
+        entries.flags.writeable = False
+        self.matrix, (self.m, self.n), self.seed = entries, entries.shape, int(seed)
 
 
 class PartialFourierOperator(SamplingOperator):

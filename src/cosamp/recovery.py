@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class RecoveryConfig:
         return 6 * (self.s + 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class RecoveryState:
     """Everything the loop knows after an iteration: approximation a,
     previous approximation, current samples v, the proxy y that drove the
@@ -112,7 +112,8 @@ class RecoveryState:
     ``support`` is supp(a) as the prune chose it, so that no later step
     rescans a; None means not known, and the loop then takes it from a.
     ``view`` is the Phi_T that made b and v, for the next iteration's T if
-    equal.  Only the loop sets these two; ``dataclasses.replace`` drops them.
+    equal.  Only the loop sets these two, right after building the state;
+    ``dataclasses.replace`` drops them.
     """
 
     k: int
@@ -201,25 +202,9 @@ def _estimate(
     return embed(result.coefficients, T), result
 
 
-def _lap(times: dict[str, float], step: str, start: int) -> int:
-    """Record ``step``'s microseconds since ``start`` (ns); now starts the next step."""
-    now = time.perf_counter_ns()
-    times[step] = (now - start) / 1000.0
-    return now
-
-
-def _iterate(
-    state: RecoveryState,
-    y: np.ndarray,
-    y_neg: np.ndarray,
-    op: SamplingOperator,
-    u: np.ndarray,
-    c: np.ndarray | None,
-    config: RecoveryConfig,
-    merge,
-    estimate,
-    times: dict[str, float],
-) -> tuple[RecoveryState, float]:
+def _iterate(state: RecoveryState, y: np.ndarray, y_neg: np.ndarray, op: SamplingOperator,
+             u: np.ndarray, c: np.ndarray | None, config: RecoveryConfig, merge, estimate,
+             times: dict[str, float]) -> tuple[RecoveryState, float]:
     """Identify, merge, estimate, prune and update from the proxy ``y`` and
     ``y_neg`` = -|y|, for a validated ``u`` and ``c`` = Phi* u (or None);
     returns the new state and ||v||_2.
@@ -228,16 +213,18 @@ def _iterate(
     support T and ``estimate(op, u, c, y, state, omega, view, config)`` the
     pre-prune estimate b, zero off T (so the prune ranks b on T alone), with
     its solver result; they are the only steps in which the loop variants
-    differ; ``view`` is Phi_T, which the update applies too.  Step times in
-    microseconds go into ``times``.  A solver ``LinAlgError`` or a
-    non-finite estimate raises :class:`SolverFailure`.
+    differ; ``view`` is Phi_T, which the update applies too.  The five step
+    times in microseconds go into ``times``, in one update from the step
+    boundaries.  A solver ``LinAlgError`` or a non-finite estimate raises
+    :class:`SolverFailure`.
     """
-    tick = time.perf_counter_ns()
+    clock = time.perf_counter_ns
+    t0 = clock()
     prune_width = min(config.s, op.n)  # identify 2s, prune to s, both capped at N
     omega = SupportSet._trusted(_select(y_neg, min(2 * config.s, op.n)), op.n)
-    tick = _lap(times, "identify", tick)
+    t1 = clock()
     T = merge(state, y_neg, omega, prune_width)
-    tick = _lap(times, "merge", tick)
+    t2 = clock()
     view = state.view
     if view is None or view.op is not op or view.T != T:
         view = op.restricted(T)
@@ -249,19 +236,20 @@ def _iterate(
         raise SolverFailure(
             state.k + 1, FloatingPointError("estimate has non-finite coefficients")
         )
-    tick = _lap(times, "estimate", tick)
+    t3 = clock()
     chosen = _select(_neg_abs(b[T.indices]), prune_width)  # T is sorted: ties break as on b
     support = SupportSet._trusted(T.indices[chosen], op.n)
     a_next = restrict(b, support)  # best_s_approx(b, prune_width), selected on T alone
     kept = a_next[T.indices]
-    tick = _lap(times, "prune", tick)
+    t4 = clock()
     v_next = u - view.apply(kept, a_next)
     v_norm = _l2(v_next)
     state = RecoveryState(state.k + 1, state.s, a_next, state.a, v_next, y, omega, T, b,
                           lsq_result)
-    object.__setattr__(state, "support", support)
-    object.__setattr__(state, "view", view)
-    _lap(times, "update", tick)
+    state.support, state.view = support, view
+    t5 = clock()
+    times.update(identify=(t1 - t0) / 1000.0, merge=(t2 - t1) / 1000.0,
+                 estimate=(t3 - t2) / 1000.0, prune=(t4 - t3) / 1000.0, update=(t5 - t4) / 1000.0)
     return state, v_norm
 
 
@@ -279,8 +267,7 @@ def cosamp_iteration(
     return _iterate(state, y, _neg_abs(y), op, u, None, config, _merge, _estimate, {})[0]
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     k: int
     v_norm: float
     y_inf: float
@@ -290,6 +277,9 @@ class TraceRow:
 
     def total_time_us(self) -> float:
         return float(sum(self.step_times_us.values()))
+
+    def __hash__(self) -> int:  # by value, the step-time dict by its items
+        return hash((*self[:5], frozenset(self.step_times_us.items())))
 
 
 @dataclass(frozen=True)
@@ -420,13 +410,12 @@ def _drive(
             halt_reason = "max_iterations"
             break
 
-        times: dict[str, float] = {}
         tick = time.perf_counter_ns()
         y = op.adjoint(state.v)
         y_neg = _neg_abs(y)  # the one |y| pass: ||y||_inf, the identify step, prune-first
         y_inf = float(-y_neg.min()) if y_neg.size else 0.0
         c = y if c is None else c
-        _lap(times, "proxy", tick)
+        times = {"proxy": (time.perf_counter_ns() - tick) / 1000.0}
         if y_inf <= y_limit:
             halt_reason = "proxy_infinity_norm"
             break

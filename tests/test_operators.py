@@ -405,3 +405,64 @@ class TestDimensionChecks:
         op = gaussian_operator(4, 8, seed=0)
         with pytest.raises(DimensionMismatchError):
             op.apply_sub(SupportSet(np.array([0]), 9), np.ones(1))
+
+
+# (m, N, |T|): a one-row operator, a one-column support, the 48 x 128 golden
+# shape, a 128 x 48 slice, and gauss-compressible's 1024 x 4096 with |T| = 3 s.
+DISPATCH_SHAPES = [(1, 16, 4), (48, 128, 1), (48, 128, 24), (128, 48, 48), (1024, 4096, 120)]
+
+
+@pytest.fixture(scope="module", params=DISPATCH_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def dispatch_matrices(request):
+    m, n, t = request.param
+    real = prng.normals(m * 7 + n, m * n).reshape(m, n)
+    cplx = real + 1j * prng.normals(m * 7 + n + 1, m * n).reshape(m, n)
+    T = SupportSet(prng.sample_without_replacement(m + n + t, n, t), n)
+    return {"real": real, "complex": cplx}, T
+
+
+class TestProductDispatch:
+    """Every dense product is the bytes of the ``@`` it stands for: ``ndarray.dot``
+    when matrix and vector are both float64, ``@`` whenever either is complex."""
+
+    @staticmethod
+    def same_bytes(got, want):
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("vector", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_view_products_match_matmul(self, dispatch_matrices, kind, vector):
+        matrices, T = dispatch_matrices
+        mat = matrices[kind]
+        m = mat.shape[0]
+        view = dense_operator(mat).restricted(T)
+        sub = mat[:, T.indices]
+        for seed in range(2):
+            z = random_signal(70 + seed, len(T), complex_valued=vector == "complex")
+            v = random_signal(80 + seed, m, complex_valued=vector == "complex")
+            assert self.same_bytes(view.apply(z), sub @ z)
+            assert self.same_bytes(view.adjoint(v), sub.conj().T @ v)
+            assert self.same_bytes(view.normal(z), sub.conj().T @ (sub @ z))
+
+    @pytest.mark.parametrize("vector", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_operator_products_match_matmul(self, dispatch_matrices, kind, vector):
+        matrices, T = dispatch_matrices
+        mat = matrices[kind]
+        m, n = mat.shape
+        op = dense_operator(mat)
+        x = random_signal(90, n, complex_valued=vector == "complex")
+        v = random_signal(91, m, complex_valued=vector == "complex")
+        z = random_signal(92, len(T), complex_valued=vector == "complex")
+        assert self.same_bytes(op.apply(x), mat @ x)
+        adjoint = (v.conj() @ mat).conj() if kind == "complex" else mat.T @ v
+        assert self.same_bytes(op.adjoint(v), adjoint)
+        assert self.same_bytes(op.apply_sub(T, z), mat[:, T.indices] @ z)
+        assert self.same_bytes(op.adjoint_sub(T, v), mat[:, T.indices].conj().T @ v)
+
+    def test_gaussian_matrix_is_one_read_only_array(self):
+        op = gaussian_operator(96, 256, seed=5)
+        want = prng.normals(5, 96 * 256).reshape(96, 256) / np.sqrt(96)
+        assert self.same_bytes(op.matrix, want) and not op.matrix.flags.writeable
+        assert (op.m, op.n, op.is_complex) == (96, 256, False)
+        assert type(op.m) is int and type(op.n) is int

@@ -10,7 +10,7 @@ import pytest
 import cosamp
 from conftest import gated_operator, planted_instance
 from cosamp import prng
-from cosamp.experiment import run_trial
+from cosamp.experiment import BENCH_STEPS, TRACE_COLUMNS, report_payload, run_trial
 from cosamp.lsq import LsqConfig, cg_solve
 from cosamp.models import noise_fold
 from cosamp.recovery import (
@@ -850,3 +850,52 @@ class TestCarriedView:
         fresh = cosamp_iteration(dataclasses.replace(state), other, u, RecoveryConfig(s=5))
         assert stepped.view is not state.view
         assert np.array_equal(stepped.v, fresh.v) and np.array_equal(stepped.a, fresh.a)
+
+
+class TestLoopRecords:
+    """The per-iteration records: a slotted state the loop completes in place,
+    and an immutable, hashable trace row whose fields are the trace columns."""
+
+    @staticmethod
+    def outcome():
+        return run_trial({
+            "version": "config_v1",
+            "master_seed": 11,
+            "operator": {"kind": "gaussian", "m": 32, "n": 128},
+            "signal": {"kind": "sparse", "n": 128, "s": 4, "law": "flat"},
+            "noise": None,
+            "recovery": {"s": 4, "halting": [{"kind": "fixed_iterations", "count": 3}]},
+        })
+
+    def test_report_trace_keys_are_the_trace_columns(self):
+        payload = report_payload(self.outcome())
+        assert len(payload["trace"]) == 3
+        for row in payload["trace"]:
+            assert tuple(row) == TRACE_COLUMNS
+            assert tuple(row["step_times_us"]) == BENCH_STEPS
+
+    def test_step_times_are_the_six_bench_steps(self):
+        for row in self.outcome().report.trace:
+            assert set(row.step_times_us) == set(BENCH_STEPS)
+            assert all(t >= 0.0 for t in row.step_times_us.values())
+            assert row.total_time_us() == float(sum(row.step_times_us.values()))
+
+    def test_trace_rows_are_immutable_and_hashable(self):
+        trace = self.outcome().report.trace
+        row = trace[0]
+        with pytest.raises(AttributeError):
+            row.v_norm = 0.0
+        assert row.v_norm == row[1] and row.k == 1
+        twin = type(row)(*row[:5], dict(reversed(row.step_times_us.items())))
+        assert twin == row and hash(twin) == hash(row)
+        assert len({row, twin, *trace}) == len(trace)
+
+    def test_states_are_slotted_and_replace_drops_support_and_view(self):
+        op = cosamp.gaussian_operator(32, 128, seed=5)
+        u = op.apply(cosamp.make_sparse(128, 4, "flat", position_seed=6, sign_seed=7))
+        state = cosamp_iteration(initial_state(op, u, 4), op, u, RecoveryConfig(s=4))
+        assert not hasattr(state, "__dict__")
+        assert state.support == support_of(state.a) and state.view.T == state.T
+        moved = dataclasses.replace(state)
+        assert moved.support is None and moved.view is None
+        assert moved != state and moved == moved and hash(moved) != hash(state)
