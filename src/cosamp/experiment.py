@@ -181,8 +181,8 @@ def build_signal(spec: dict, seeds: tuple[int, int, int]) -> np.ndarray:
                 alpha=json_number(spec.get("alpha", 0.5)),
                 magnitudes=None if magnitudes is None else [json_number(v) for v in magnitudes],
                 scale=json_number(spec.get("scale", 1.0)),
-                position_seed=prng.check_seed(json_int(spec.get("position_seed", position_seed))),
-                sign_seed=prng.check_seed(json_int(spec.get("sign_seed", sign_seed))),
+                position_seed=json_int(spec.get("position_seed", position_seed)),
+                sign_seed=json_int(spec.get("sign_seed", sign_seed)),
             )
         if kind == "compressible":
             return make_compressible(
@@ -190,9 +190,8 @@ def build_signal(spec: dict, seeds: tuple[int, int, int]) -> np.ndarray:
                     p=json_number(spec["p"]),
                     magnitude=json_number(spec.get("magnitude", 1.0)),
                     n=json_int(spec["n"]),
-                    sign_seed=prng.check_seed(json_int(spec.get("sign_seed", sign_seed))),
-                    permutation_seed=prng.check_seed(
-                        json_int(spec.get("permutation_seed", permutation_seed))),
+                    sign_seed=json_int(spec.get("sign_seed", sign_seed)),
+                    permutation_seed=json_int(spec.get("permutation_seed", permutation_seed)),
                 )
             )
         raise ValueError(f"unknown signal kind {kind!r}")

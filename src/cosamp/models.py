@@ -29,6 +29,8 @@ class CompressibleSpec:
     permutation_seed: int
 
     def __post_init__(self) -> None:
+        prng.check_seed(self.sign_seed)
+        prng.check_seed(self.permutation_seed)
         if not 0 < self.p <= 1:
             raise ValueError("p must lie in (0, 1]")
         if not 0 < self.magnitude < math.inf:
@@ -54,6 +56,8 @@ def make_sparse(
     magnitudes alpha^j for j = 0..s-1, assigned to positions in ascending
     index order; ``custom`` takes explicit magnitudes.
     """
+    prng.check_seed(position_seed)
+    prng.check_seed(sign_seed)
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if not 0 < abs(scale) < math.inf:

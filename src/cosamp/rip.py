@@ -144,33 +144,16 @@ def _max_deviation_over(gram: np.ndarray, supports: np.ndarray) -> float:
 
 
 def _greedy_worst(gram: np.ndarray, dev: np.ndarray, r: int) -> float:
-    """The worst deviation among real r-supports: N grown from each index by
-    adding, r - 1 times, the index that most raises the Frobenius norm, and
-    the four of those with the largest Schatten-4 bound, each moved up to
-    three times to the single swap that raises that bound most."""
-    n = dev.shape[0]
+    """The worst deviation among N real r-supports, each grown from one index
+    by adding, r - 1 times, the index that most raises the Frobenius norm."""
+    rows = np.arange(dev.shape[0])
     pairs = 2.0 * np.abs(dev) ** 2
-    rows = np.arange(n)
     supports, gain = [rows], 0.5 * pairs.diagonal() + pairs
     for _ in range(1, r):
         gain[rows, supports[-1]] = -np.inf
         supports.append(np.argmax(gain, axis=1))
         gain += pairs[supports[-1]]
-    grown = np.sort(np.stack(supports, axis=1), axis=1)
-    value = _schatten4_bounds(dev, grown)
-    pick = np.argsort(value)[-4:]
-    moved, value, lanes = grown[pick], value[pick], np.arange(pick.size)
-    for _ in range(3 if r < n else 0):
-        outside = np.ones((lanes.size, n), dtype=bool)
-        outside[lanes[:, None], moved] = False
-        swaps = np.repeat(moved[:, None, None, :], r, axis=1).repeat(n - r, axis=2)
-        swaps[:, np.arange(r), :, np.arange(r)] = np.nonzero(outside)[1].reshape(-1, n - r)
-        swaps = np.sort(swaps.reshape(lanes.size, -1, r), axis=2)
-        scores = _schatten4_bounds(dev, swaps.reshape(-1, r)).reshape(lanes.size, -1)
-        best = np.argmax(scores, axis=1)
-        better = scores[lanes, best] > value
-        moved[better], value[better] = swaps[lanes, best][better], scores[lanes, best][better]
-    return float(np.max(_deviations(gram, np.concatenate([grown, moved]))))
+    return float(np.max(_deviations(gram, np.sort(np.stack(supports, axis=1), axis=1))))
 
 
 def _extremes(dev: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,17 +287,18 @@ def rip_estimate(
 ) -> RipEstimate:
     """Estimate delta_r exhaustively or by Monte Carlo support sampling.
 
-    Exhaustive mode is exact over all C(N, r) supports: from the worst of a
-    few real supports found greedily (:func:`_greedy_worst`), it grows
-    supports most coupled index first, drops every prefix whose completions
-    cannot beat it (:func:`_candidates`) and solves the rest through
+    Exhaustive mode is exact over all C(N, r) supports: from the worst of N
+    real supports grown greedily (:func:`_greedy_worst`), it grows supports
+    most coupled index first, drops every prefix whose completions cannot
+    beat it (:func:`_candidates`) and solves the rest through
     :func:`_max_deviation_over`.  :class:`RipBudgetError` is raised when
     C(N, r) > ``budget``, which counts supports, not work: near r = N little
-    is pruned, and r = 27 on a 24 x 32 Gaussian takes about 10 s.  Monte Carlo
-    solves ``trials`` >= 1 supports, trial t's being
+    is pruned, so on ``gaussian_operator(24, 32, seed=77)`` r = 26 (906,192
+    supports) takes about 30 s and r = 27 about 6-10 s.  Monte Carlo solves
+    ``trials`` >= 1 supports, trial t's being
     ``sample_without_replacement(mix_seed(seed, t), N, r)``, all drawn by
     :func:`prng.sample_many`; its maximum is a certified lower bound on
-    delta_r.  The method, budget and trial count are checked before the Gram.
+    delta_r.  The method, budget, trial count and seed are checked before the Gram.
     """
     if not 1 <= r <= op.n:
         raise ValueError(f"need 1 <= r <= N, got r={r}")
@@ -334,6 +318,7 @@ def rip_estimate(
         delta = max(worst, _max_deviation_over(gram, np.sort(order[kept], axis=1)))
         return RipEstimate(r, delta, delta, "exhaustive")
     if method == "monte_carlo":
+        prng.check_seed(seed)
         if trials < 1:
             raise ValueError(f"need trials >= 1, got trials={trials}")
         delta = _max_deviation_over(_full_gram(op), prng.sample_many(seed, trials, op.n, r))
@@ -387,6 +372,7 @@ def check_rip_consequences(
     seeded sets of size r.  The report carries every inequality's two sides;
     failures are reported, not raised.
     """
+    prng.check_seed(seed)
     n = op.n
     if x is None:
         x = prng.normals(prng.mix_seed(seed, 1), n)

@@ -1,12 +1,14 @@
 """Experiment harness: configs, trials, sweeps, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cosamp import experiment
+from cosamp.cli import EXIT_SOLVER, main
 from cosamp.experiment import (
     ConfigError,
     build_noise,
@@ -158,6 +160,11 @@ class TestRunTrial:
             outcome.relative_error <= 15 * outcome.noise_norm / np.linalg.norm(outcome.truth)
         )
 
+    def test_explicit_success_threshold_sets_the_bar(self):
+        strict = run_trial(base_config(noise={"norm": 0.05}, success_threshold=0))
+        assert strict.relative_error > 0 and not strict.success
+        assert run_trial(base_config(noise={"norm": 0.05}, success_threshold=1e300)).success
+
 
 class TestSweep:
     def test_single_cell_reduces_to_recover_aggregates(self):
@@ -186,6 +193,23 @@ class TestSweep:
         result = experiment.run_cell(cfg, cell, 4)
         assert result.failures == 2
         assert result.success_rate == 0.5
+
+    def test_cell_whose_every_trial_raises(self, monkeypatch, tmp_path):
+        def raises(*args, **kwargs):
+            raise RuntimeError("trial blew up")
+
+        monkeypatch.setattr(experiment, "run_trial", raises)
+        cfg = base_config(sweep=None, trials=3)
+        result = experiment.run_cell(cfg, sweep_cells(cfg)[0], 3)
+        assert result.success_rate == 0.0 and result.failures == result.trials == 3
+        medians = (result.median_iterations, result.median_final_error,
+                   result.median_iteration_time_us)
+        assert all(math.isnan(v) for v in medians)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_SOLVER
+        row = (tmp_path / "out" / "sweep.csv").read_text().split("\n")[1].split(",")
+        assert row[5:] == ["3", "0.000000000000e+00", "nan", "nan"]
 
     def test_grid_shape_and_indexing(self):
         cfg = base_config(sweep={"m": [8, 16], "s": [2, 3], "noise_norm": [0.0]})

@@ -85,8 +85,31 @@ class TestMakeSparse:
         with pytest.raises(ValueError, match="positive finite magnitudes"):
             make_sparse(8, 2, "custom", magnitudes=[1.0, bad], position_seed=0, sign_seed=0)
 
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    @pytest.mark.parametrize("name", ["position_seed", "sign_seed"])
+    def test_seed_outside_u64_is_refused(self, name, bad):
+        seeds = {"position_seed": 1, "sign_seed": 2, name: bad}
+        with pytest.raises(ValueError, match=r"a seed must lie in \[0, 2\*\*64\)"):
+            make_sparse(10, 3, **seeds)
+
+    def test_largest_u64_seed_is_accepted(self):
+        x = make_sparse(10, 3, position_seed=2**64 - 1, sign_seed=2**64 - 1)
+        assert norms(x).l0 == 3
+
 
 class TestMakeCompressible:
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    @pytest.mark.parametrize("name", ["sign_seed", "permutation_seed"])
+    def test_seed_outside_u64_is_refused(self, name, bad):
+        seeds = {"sign_seed": 1, "permutation_seed": 2, name: bad}
+        with pytest.raises(ValueError, match=r"a seed must lie in \[0, 2\*\*64\)"):
+            CompressibleSpec(p=0.7, magnitude=1.0, n=16, **seeds)
+
+    def test_largest_u64_seed_is_accepted(self):
+        top = 2**64 - 1
+        spec = CompressibleSpec(p=0.7, magnitude=1.0, n=16, sign_seed=top, permutation_seed=top)
+        assert norms(make_compressible(spec)).l0 == 16
+
     def test_sorted_magnitudes_follow_power_law(self):
         spec = CompressibleSpec(p=0.5, magnitude=2.0, n=64, sign_seed=1, permutation_seed=2)
         x = make_compressible(spec)

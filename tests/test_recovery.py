@@ -186,6 +186,18 @@ class TestRecover:
         assert report.halt_reason == "sample_norm"
         assert not report.approximation.any()
 
+    def test_final_error_is_the_last_rows_error_against_the_truth(self):
+        op = cosamp.gaussian_operator(32, 128, seed=5)
+        x = cosamp.make_sparse(128, 4, "flat", position_seed=6, sign_seed=7)
+        cfg = RecoveryConfig(s=4, halting=FixedIterations(3))
+        report = recover(op, op.apply(x), cfg, truth=x)
+        assert report.final_error is not None
+        assert report.final_error == report.trace[-1].err_l2
+        assert report.final_error == float(np.linalg.norm(x - report.approximation))
+        assert recover(op, op.apply(x), cfg).final_error is None
+        capped = recover(op, op.apply(x), RecoveryConfig(s=4, max_iterations=0), truth=x)
+        assert capped.trace == () and capped.final_error is None
+
     def test_default_cap_is_six_s_plus_one(self):
         op = cosamp.gaussian_operator(8, 64, seed=6)
         u = op.apply(prng.normals(42, 64))  # dense target: never converges exactly

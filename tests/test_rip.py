@@ -310,6 +310,11 @@ class TestPrefixDescent:
             (5, "0x1.47f3a46cb7c50p+1"),
             (306, "0x1.c46f11c360454p+0"),
             (308, "0x1.a9644cf621a28p+0"),
+            # greedy growth alone stops furthest below delta_6 on these
+            (26, "0x1.a494ff82ec7e2p+0"),
+            (81, "0x1.928c10242ba02p+0"),
+            (86, "0x1.4863239c89ba0p+1"),
+            (611, "0x1.f79a1d90071dap+0"),
         ],
     )
     def test_delta_6_of_rip_cert_fixtures_is_frozen(self, k, expected):
@@ -426,6 +431,18 @@ class TestFailsBeforeTheGram:
         with pytest.raises(ValueError, match="trials"):
             rip_estimate(MaterializeForbidden(), 2, "monte_carlo", trials=trials)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_monte_carlo_refuses_a_seed_outside_u64_first(self, seed):
+        with pytest.raises(ValueError, match=r"a seed must lie in \[0, 2\*\*64\)"):
+            rip_estimate(MaterializeForbidden(), 4, "monte_carlo", trials=50, seed=seed)
+
+    def test_monte_carlo_accepts_the_largest_u64_seed(self):
+        op = gaussian_operator(12, 16, seed=4)
+        top = 2**64 - 1
+        estimate = rip_estimate(op, 4, "monte_carlo", trials=50, seed=top)
+        assert estimate.seed == top
+        assert 0.0 < estimate.delta_lower <= rip_estimate(op, 4, "exhaustive").delta_exact
+
 
 class TestBatchedDraws:
     def test_monte_carlo_makes_no_per_trial_draw(self, monkeypatch):
@@ -449,6 +466,14 @@ class TestBatchedDraws:
 
 
 class TestConsequences:
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64])
+    def test_seed_outside_u64_is_refused_first(self, seed):
+        with pytest.raises(ValueError, match=r"a seed must lie in \[0, 2\*\*64\)"):
+            check_rip_consequences(MaterializeForbidden(), seed=seed)
+
+    def test_largest_u64_seed_is_accepted(self):
+        assert check_rip_consequences(identity_operator(12), seed=2**64 - 1).all_passed
+
     def test_identity_all_pass_with_slack(self):
         report = check_rip_consequences(identity_operator(12), r=2, c=3)
         assert report.all_passed
