@@ -126,8 +126,8 @@ def cg_solve(
     """Conjugate gradient on the normal equations Phi_T* Phi_T z = Phi_T* u.
 
     Each iteration costs one normal product of the view (see the module
-    docstring).  Terminates early on a zero residual (e.g. when seeded with
-    the exact solution).
+    docstring).  Stops early on a zero residual (e.g. seeded with the exact solution);
+    raises ``LinAlgError`` on a curvature d* Phi_T* Phi_T d <= 0 at a nonzero residual.
     """
     u, z, view = _prepare(op, T, u, z0, view)
     resid = direction = view.rhs(u, proxy) - view.normal(z)  # neither is written in place
@@ -138,8 +138,8 @@ def cg_solve(
             break
         gram_d = view.normal(direction)
         curvature = float(_product(direction, gram_d, np.vdot).real)
-        if curvature <= 0.0:
-            break
+        if curvature <= 0.0:  # with rho > 0: ||Phi_T d||^2 underflowed, and z would stall
+            raise np.linalg.LinAlgError(f"CG curvature {curvature!r} <= 0 at residual {rho!r} > 0")
         alpha = rho / curvature
         z = z + alpha * direction
         used += 1

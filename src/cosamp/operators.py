@@ -311,10 +311,15 @@ class PartialFourierOperator(SamplingOperator):
         return np.fft.ifft(padded) * (self.n / math.sqrt(self.m))
 
     def gram_sub(self, T: SupportSet) -> np.ndarray:
-        """Phi_T* Phi_T, entry (j, k) = g[(t_j - t_k) mod N]."""
+        """Phi_T* Phi_T, entry (j, k) = g[(t_j - t_k) mod N], gathered in row blocks."""
         self._check_support(T)
         idx = T.indices
-        return self.gram_kernel[(idx[:, None] - idx[None, :]) % self.n]
+        gram = np.empty((idx.size, idx.size), dtype=np.complex128)
+        rows = max(1, (1 << 16) // max(idx.size, 1))  # 512 KB of int64 lags per block
+        for start in range(0, idx.size, rows):
+            lags = (idx[start : start + rows, None] - idx) & (self.n - 1)  # mod N: N = 2**k
+            np.take(self.gram_kernel, lags, out=gram[start : start + rows], mode="clip")
+        return gram
 
     def materialize(self) -> np.ndarray:
         j = np.arange(self.n)

@@ -7,7 +7,8 @@ platforms.  The generation pipeline is pinned:
 * Raw 64-bit words come from the Philox-4x64-10 counter-based generator
   keyed by a single 64-bit seed (``numpy.random.Philox``).
 * Uniforms in [0, 1) are ``(word >> 11) * 2**-53``.
-* Normal deviates use the Box-Muller transform on uniform pairs.
+* Normal deviates use the Box-Muller transform on uniform pairs, in blocks
+  straight into the output: the one-shot bits, in output size plus ~4 MB.
 * Sampling without replacement is a Fisher-Yates shuffle driven by raw
   words reduced modulo the remaining range.  Drawing m of n runs only the
   first min(m, n - 1) swaps on the first min(m, n - 1) words: later swaps
@@ -43,6 +44,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # int64 entries in one chunk of sample_many's trials x n shuffle table (2 MB)
 _TABLE_ENTRIES = 1 << 18
+_BLOCK_PAIRS = 1 << 17  # Box-Muller pairs per block of normals (2 MB of words)
 
 
 def _splitmix64(state):
@@ -76,19 +78,19 @@ def mix_seed(*parts: int) -> int:
 _local = threading.local()
 
 
-def raw_words(seed: int, count: int) -> np.ndarray:
-    """``count`` raw uint64 words from Philox-4x64-10 keyed by ``seed``.
-
-    They are the words of a fresh ``numpy.random.Philox(key=seed)``, whose
-    construction draws OS entropy for a seed the key then overrides; so each
-    thread keeps one generator and resets it to counter 0 under the key.
-    """
+def _philox(seed: int) -> np.random.Philox:
+    """This thread's Philox at counter 0 under key ``seed`` (a new one would draw OS entropy)."""
     if not hasattr(_local, "philox"):
         _local.philox = np.random.Philox(key=0)
         _local.fresh = _local.philox.state  # counter 0, empty buffer
     _local.fresh["state"]["key"][0] = int(seed) & _MASK64
     _local.philox.state = _local.fresh
-    return _local.philox.random_raw(count)
+    return _local.philox
+
+
+def raw_words(seed: int, count: int) -> np.ndarray:
+    """``count`` raw uint64 words: those of a fresh ``numpy.random.Philox(key=seed)``."""
+    return _philox(seed).random_raw(count)
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +128,15 @@ def raw_words_many(keys: np.ndarray, count: int) -> np.ndarray:
 
 def uniforms(seed: int, count: int) -> np.ndarray:
     """Uniform doubles in [0, 1), one per raw word."""
-    words = raw_words(seed, count)
-    return (words >> np.uint64(11)) * 2.0**-53
+    return (raw_words(seed, count) >> np.uint64(11)) * 2.0**-53
+
+
+def _pairs(philox: np.random.Philox, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``pairs`` Box-Muller pairs (c, s) of ``philox``'s words (see :func:`normals`)."""
+    u = (philox.random_raw(2 * pairs) >> np.uint64(11)) * 2.0**-53
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[0::2])), 2.0 * np.pi * u[1::2]
+    del u  # gone before the products, so a block peaks at four arrays of ``pairs`` doubles
+    return radius * np.cos(angle), radius * np.sin(angle)
 
 
 def normals(seed: int, count: int) -> np.ndarray:
@@ -138,21 +147,21 @@ def normals(seed: int, count: int) -> np.ndarray:
     argument in (0, 1], so no special-casing of u1 == 0 is needed.
     """
     pairs = (count + 1) // 2
-    u = uniforms(seed, 2 * pairs)
-    u1 = u[0::2]
-    u2 = u[1::2]
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    out, philox = np.empty(2 * pairs), _philox(seed)
+    for start in range(0, 2 * pairs, 2 * _BLOCK_PAIRS):
+        block = out[start : start + 2 * _BLOCK_PAIRS]
+        block[0::2], block[1::2] = _pairs(philox, block.size // 2)
     return out[:count]
 
 
 def complex_normals(seed: int, count: int) -> np.ndarray:
-    """Circular complex normals with E|z|^2 = 1 (re and im ~ N(0, 1/2))."""
-    z = normals(seed, 2 * count)
-    return (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
+    """Circular complex normals, E|z|^2 = 1: (re + 1j im) / sqrt(2), (re, im) pairs of normals."""
+    out, philox = np.empty(count, dtype=np.complex128), _philox(seed)
+    for start in range(0, count, _BLOCK_PAIRS):
+        re, im = _pairs(philox, min(_BLOCK_PAIRS, count - start))
+        out[start : start + _BLOCK_PAIRS] = (re + 1j * im) / np.sqrt(2.0)
+        del re, im  # not held through the next block's draw
+    return out
 
 
 def _fisher_yates(seed: int, n: int, steps: int) -> list[int]:

@@ -170,6 +170,14 @@ class TestConjugateGradient:
             z = cg_solve(op, T, u, None, iterations=ell).coefficients
             assert np.linalg.norm(z - z_star) <= 2 * rho**ell * start_err + 1e-12
 
+    def test_underflowed_curvature_raises(self):
+        # rho = <r, r> = 1e-322 > 0 while d* Phi_T* Phi_T d = 1e-328 underflows to 0:
+        # stopping there returned the warm start 0 against the exact answer 1e-155
+        op = dense_operator([[1e-3]])
+        assert direct_solve(op, SupportSet(np.array([0]), 1), [1e-158]).coefficients[0] > 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="curvature"):
+            cg_solve(op, SupportSet(np.array([0]), 1), [1e-158])
+
     def test_complex_instance(self):
         op = __import__("cosamp").partial_fourier_operator(8, 16, seed=3)
         T = SupportSet(np.array([2, 7, 12]), 16)

@@ -130,6 +130,29 @@ class TestClosedFormGram:
         T = SupportSet(np.array([0, 5, 63]), 64)
         assert np.array_equal(op.restricted(T).gram(), op.gram_sub(T))
 
+    @pytest.mark.parametrize("size", [0, 1, 2, 5, 255, 256, 257, 700])
+    def test_row_blocks_give_the_one_gather(self, size):
+        # a block holds 2**16 lags, so |T| = 257 and 700 take ragged row blocks
+        n = 2**16
+        op = partial_fourier_operator(2**12, n, seed=size)
+        idx = np.unique(np.concatenate([[0, n - 1], prng.sample_without_replacement(size, n, size)]))
+        T = SupportSet(idx[:size], n)
+        want = op.gram_kernel[(T.indices[:, None] - T.indices[None, :]) % n]
+        got = op.gram_sub(T)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_storage_is_the_gram_plus_one_block(self):
+        op = partial_fourier_operator(2**14, 2**16, seed=3)
+        T = SupportSet(prng.sample_without_replacement(4, 2**16, 2048), 2**16)
+        tracemalloc.start()
+        try:
+            gram = op.gram_sub(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gram.nbytes == 16 * 2048**2
+        assert peak <= gram.nbytes + 8 * 2**20
+
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_dense_gram_is_exact(self, complex_valued):
         mat = prng.normals(4, 12 * 40).reshape(12, 40)
@@ -292,6 +315,16 @@ class TestGaussian:
     def test_requires_m_at_most_n(self):
         with pytest.raises(ValueError):
             gaussian_operator(10, 5, seed=0)
+
+    def test_storage_is_the_matrix_plus_one_block(self):
+        tracemalloc.start()
+        try:
+            op = gaussian_operator(1024, 4096, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.matrix.nbytes == 8 * 1024 * 4096
+        assert peak <= op.matrix.nbytes + 8 * 2**20
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, 2**70])
     def test_seed_outside_u64_is_refused(self, seed):

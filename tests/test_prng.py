@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,118 @@ def test_normals_moments():
 def test_complex_normals_unit_energy():
     z = prng.complex_normals(11, 100_000)
     assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.02)
+
+
+def one_shot_normals(seed, count):
+    """The whole Box-Muller stream at once, on full-length uniforms."""
+    pairs = (count + 1) // 2
+    u = prng.uniforms(seed, 2 * pairs)
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
+def one_shot_complex_normals(seed, count):
+    z = one_shot_normals(seed, 2 * count)
+    return (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
+
+
+DRAWS = [(prng.normals, one_shot_normals), (prng.complex_normals, one_shot_complex_normals)]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def block_counts(b):
+    """Counts at and around one, two, four and six blocks of ``b`` pairs, plus small odd ones."""
+    return sorted({0, 1, 2, 3, 5, 7, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 4 * b,
+                   6 * b + 7})
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("draw, oracle", DRAWS, ids=["normals", "complex_normals"])
+def test_blocked_normals_have_the_one_shot_bits(draw, oracle, block, monkeypatch):
+    monkeypatch.setattr(prng, "_BLOCK_PAIRS", block)
+    for seed in (0, 1, 2, 7, 12345, 987654321, 2**63, 2**64 - 1):
+        for count in block_counts(block):
+            assert_same_bits(draw(seed, count), oracle(seed, count))
+
+
+@pytest.mark.parametrize("draw, oracle", DRAWS, ids=["normals", "complex_normals"])
+def test_module_block_size_has_the_one_shot_bits(draw, oracle):
+    b = prng._BLOCK_PAIRS
+    for count in (2 * b - 1, 2 * b, 2 * b + 1, 6 * b + 7):
+        assert_same_bits(draw(5, count), oracle(5, count))
+
+
+def test_draws_between_calls_change_nothing(monkeypatch):
+    monkeypatch.setattr(prng, "_BLOCK_PAIRS", 4)
+    a = prng.normals(3, 45)
+    prng.raw_words(99, 7)  # the same thread's generator, left mid-stream under another key
+    b = prng.complex_normals(4, 21)
+    prng.uniforms(5, 3)
+    c = prng.normals(3, 45)
+    assert_same_bits(a, one_shot_normals(3, 45))
+    assert_same_bits(b, one_shot_complex_normals(4, 21))
+    assert_same_bits(c, a)
+
+
+def test_normals_from_three_threads(monkeypatch):
+    monkeypatch.setattr(prng, "_BLOCK_PAIRS", 2)  # many blocks, so threads switch inside calls
+    seeds = list(range(40))
+    want = [(one_shot_normals(k, 41).tobytes(), one_shot_complex_normals(k, 19).tobytes())
+            for k in seeds]
+    results = {}
+    barrier = threading.Barrier(3)
+
+    def draw(name):
+        barrier.wait()
+        results[name] = [(prng.normals(k, 41).tobytes(), prng.complex_normals(k, 19).tobytes())
+                         for _ in range(3) for k in seeds]
+
+    threads = [threading.Thread(target=draw, args=(name,)) for name in ("a", "b", "c")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results["a"] == results["b"] == results["c"] == want * 3
+
+
+class TestStorage:
+    """A draw holds its output plus one block (measured by tracemalloc)."""
+
+    ALLOWANCE = 8 * 2**20
+    COUNT = 2**22
+
+    @staticmethod
+    def peak(draw, *args):
+        tracemalloc.start()
+        try:
+            out = draw(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_normals(self):
+        out, peak = self.peak(prng.normals, 17, self.COUNT)
+        assert out.nbytes == 8 * self.COUNT
+        assert peak <= out.nbytes + self.ALLOWANCE
+
+    def test_complex_normals(self):
+        out, peak = self.peak(prng.complex_normals, 17, self.COUNT)
+        assert out.nbytes == 16 * self.COUNT
+        assert peak <= out.nbytes + self.ALLOWANCE
 
 
 def test_mix_seed_frozen():

@@ -232,6 +232,16 @@ class TestRecover:
             recover(op, u, cfg)
         assert excinfo.value.iteration == 1
 
+    def test_underflowed_cg_curvature_is_a_solver_failure(self):
+        # on the merged support CG's curvature underflows to 0 while its residual does not
+        u = np.zeros(8)
+        u[0] = 1e-158
+        cfg = RecoveryConfig(s=1, halting=FixedIterations(3), lsq=LsqConfig(solver="cg"))
+        with pytest.raises(SolverFailure, match="curvature") as excinfo:
+            recover(cosamp.dense_operator(1e-3 * np.eye(8)), u, cfg)
+        assert excinfo.value.iteration == 1
+        assert isinstance(excinfo.value.cause, np.linalg.LinAlgError)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_rejected(self, bad):
         op = cosamp.gaussian_operator(16, 64, seed=3)
