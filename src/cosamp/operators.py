@@ -161,6 +161,7 @@ class _SlicedView(RestrictedView):
 
     def __init__(self, op: SamplingOperator, T: SupportSet, sub: np.ndarray):
         self.op, self.T, self.sub, self.sub_h, self._gram_sub = op, T, sub, sub.conj().T, None
+        self._u = None
 
     def apply(self, z, embedded=None) -> np.ndarray:
         return _product(self.sub, _check_length(z, len(self.T), "coefficients"))
@@ -170,6 +171,14 @@ class _SlicedView(RestrictedView):
 
     def normal(self, z) -> np.ndarray:
         return _product(self.sub_h, _product(self.sub, z))
+
+    def rhs(self, u, proxy=None) -> np.ndarray:
+        if u is not self._u:  # keep Phi_T* u for samples that cannot change, as the loop's
+            rhs, u = self.adjoint(u), np.asarray(u)
+            if u.flags.writeable or not u.flags.owndata:
+                return rhs
+            self._u, self._rhs, rhs.flags.writeable = u, rhs, False
+        return self._rhs
 
     def columns(self) -> np.ndarray:
         return self.sub
@@ -263,7 +272,8 @@ class PartialFourierOperator(SamplingOperator):
     Scaling is chosen so that E ||Phi x||^2 = ||x||^2 over the random row
     set (with m = N the operator is exactly unitary).  Rows are drawn
     without replacement by a seeded Fisher-Yates shuffle unless an explicit
-    row set is given, and then no seed is kept.  Apply/adjoint run in O(N log N) via the FFT.
+    row set is given, and then no seed is kept.  Apply/adjoint run in O(N log N)
+    via the FFT and scale its output in place: the same ufunc, so the same bits.
 
     ``Phi* Phi`` is circulant with kernel ``g = (N/m) ifft(1_rows)``, computed
     once here (one length-N FFT, N complex values, read-only like ``rows``),
@@ -295,20 +305,22 @@ class PartialFourierOperator(SamplingOperator):
         self.rows = rows
         indicator = np.zeros(self.n)
         indicator[rows] = 1.0
-        gram_kernel = np.fft.ifft(indicator) * (self.n / self.m)
-        gram_kernel.flags.writeable = False
-        self.gram_kernel = gram_kernel
+        self.gram_kernel = np.fft.ifft(indicator)
+        self.gram_kernel *= self.n / self.m
+        self.gram_kernel.flags.writeable = False
 
     def apply(self, x) -> np.ndarray:
         x = _check_length(x, self.n, "signal")
         # sqrt(N/m) * (unitary DFT rows) == fft(x)[rows] / sqrt(m)
-        return np.fft.fft(x)[self.rows] / math.sqrt(self.m)
+        out = np.fft.fft(x)[self.rows]
+        return np.true_divide(out, math.sqrt(self.m), out=out)
 
     def adjoint(self, v) -> np.ndarray:
         v = _check_length(v, self.m, "sample vector")
         padded = np.zeros(self.n, dtype=np.complex128)
         padded[self.rows] = v
-        return np.fft.ifft(padded) * (self.n / math.sqrt(self.m))
+        out = np.fft.ifft(padded)
+        return np.multiply(out, self.n / math.sqrt(self.m), out=out)
 
     def gram_sub(self, T: SupportSet) -> np.ndarray:
         """Phi_T* Phi_T, entry (j, k) = g[(t_j - t_k) mod N], gathered in row blocks."""

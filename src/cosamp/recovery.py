@@ -6,6 +6,8 @@ a least-squares problem on the merged support T against the ORIGINAL
 samples, prunes the estimate back to s terms, and updates the current
 samples v = u - Phi_T a_T so they reflect the residual.  The solve and the
 update share one view of Phi_T, which the next iteration reuses while T holds.
+Each iteration gets a new state holding only what it reads, and no state the
+loop returned is ever modified, so a recovery holds ~7 N-vectors at its peak.
 
 Halting is composable: any rule firing stops the loop.  The proxy
 infinity-norm rule is evaluated on the proxy already computed that
@@ -113,13 +115,14 @@ class RecoveryState:
     rescans a; None means not known, and the loop then takes it from a.
     ``view`` is the Phi_T that made b and v, for the next iteration's T if
     equal.  Only the loop sets these two, right after building the state;
-    ``dataclasses.replace`` drops them.
+    ``dataclasses.replace`` drops them.  The loop modifies no state it built:
+    it hands each iteration a copy whose ``a_prev``, ``y`` and ``b`` are None.
     """
 
     k: int
     s: int
     a: np.ndarray
-    a_prev: np.ndarray
+    a_prev: np.ndarray | None
     v: np.ndarray
     y: np.ndarray | None
     omega: SupportSet
@@ -202,12 +205,12 @@ def _estimate(
     return embed(result.coefficients, T), result
 
 
-def _iterate(state: RecoveryState, y: np.ndarray, y_neg: np.ndarray, op: SamplingOperator,
+def _iterate(state: RecoveryState, y: np.ndarray, keys: list[np.ndarray], op: SamplingOperator,
              u: np.ndarray, c: np.ndarray | None, config: RecoveryConfig, merge, estimate,
              times: dict[str, float]) -> tuple[RecoveryState, float]:
-    """Identify, merge, estimate, prune and update from the proxy ``y`` and
-    ``y_neg`` = -|y|, for a validated ``u`` and ``c`` = Phi* u (or None);
-    returns the new state and ||v||_2.
+    """Identify, merge, estimate, prune and update from the proxy ``y`` and ``keys``
+    = [y_neg], y_neg = -|y|, for a validated ``u`` and ``c`` = Phi* u (or None); the
+    merge pops y_neg, which then goes unless the caller kept it.  Returns (state, ||v||_2).
 
     ``merge(state, y_neg, omega, prune_width)`` returns the estimation
     support T and ``estimate(op, u, c, y, state, omega, view, config)`` the
@@ -221,9 +224,9 @@ def _iterate(state: RecoveryState, y: np.ndarray, y_neg: np.ndarray, op: Samplin
     clock = time.perf_counter_ns
     t0 = clock()
     prune_width = min(config.s, op.n)  # identify 2s, prune to s, both capped at N
-    omega = SupportSet._trusted(_select(y_neg, min(2 * config.s, op.n)), op.n)
+    omega = SupportSet._trusted(_select(keys[0], min(2 * config.s, op.n)), op.n)
     t1 = clock()
-    T = merge(state, y_neg, omega, prune_width)
+    T = merge(state, keys.pop(), omega, prune_width)
     t2 = clock()
     view = state.view
     if view is None or view.op is not op or view.T != T:
@@ -264,7 +267,7 @@ def cosamp_iteration(
     """
     u = as_samples(u, op.m)
     y = op.adjoint(state.v)
-    return _iterate(state, y, _neg_abs(y), op, u, None, config, _merge, _estimate, {})[0]
+    return _iterate(state, y, [_neg_abs(y)], op, u, None, config, _merge, _estimate, {})[0]
 
 
 class TraceRow(NamedTuple):
@@ -412,26 +415,26 @@ def _drive(
 
         tick = time.perf_counter_ns()
         y = op.adjoint(state.v)
-        y_neg = _neg_abs(y)  # the one |y| pass: ||y||_inf, the identify step, prune-first
-        y_inf = float(-y_neg.min()) if y_neg.size else 0.0
+        keys = [_neg_abs(y)]  # the one |y| pass: ||y||_inf, the identify step, prune-first
+        y_inf = float(-keys[0].min()) if y.size else 0.0
         c = y if c is None else c
         times = {"proxy": (time.perf_counter_ns() - tick) / 1000.0}
         if y_inf <= y_limit:
             halt_reason = "proxy_infinity_norm"
             break
 
-        state, v_norm = _iterate(state, y, y_neg, op, u, c, config, merge, estimate, times)
-        if state.lsq_result is not None and state.lsq_result.diverged:
-            diverged.append(state.k)
+        done, v_norm = _iterate(state, y, keys, op, u, c, config, merge, estimate, times)
+        if done.lsq_result is not None and done.lsq_result.diverged:
+            diverged.append(done.k)
 
-        err_l2 = err_linf = None
-        if x is not None:
-            diff = x - state.a
-            err_l2 = _l2(diff)
-            err_linf = _inf_norm(diff)
-        trace.append(TraceRow(state.k, v_norm, y_inf, err_l2, err_linf, times))
+        diff = None if x is None else x - done.a
+        err_l2, err_linf = (None, None) if diff is None else (_l2(diff), _inf_norm(diff))
+        trace.append(TraceRow(done.k, v_norm, y_inf, err_l2, err_linf, times))
         if config.record_diagnostics and x is not None:
-            audits.append(iteration_diagnostics(state, x, noise))
+            audits.append(iteration_diagnostics(done, x, noise))
+        state = RecoveryState(done.k, done.s, done.a, None, done.v, None, done.omega, done.T, None)
+        state.support, state.view = done.support, done.view
+        del y, done, diff  # y, b and a_prev go before the next proxy: state holds the rest
 
     return RecoveryReport(
         approximation=state.a,

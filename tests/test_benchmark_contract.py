@@ -1,9 +1,10 @@
 """What the benchmark in ``perfbench/`` relies on in the library, checked from here.
 
-The benchmark's tracer replaces named functions of the ``cosamp`` modules, and
-its sweep-small workload checks a ``run_sweep`` grid against pinned digests.
-These tests read those files and never edit them: a renamed patch site or a
-sweep whose output moved fails here, not only in a benchmark run.
+The benchmark's tracer replaces named functions of the ``cosamp`` modules, its
+sweep-small workload checks a ``run_sweep`` grid against pinned digests, and its
+rip-cert workload checks two RIP constants against pinned values.  These tests
+read those files and never edit them: a renamed patch site, or a sweep or RIP
+estimate whose output moved, fails here, not only in a benchmark run.
 """
 
 import importlib.util
@@ -67,3 +68,16 @@ def test_sweep_small_seed_0_matches_its_pin():
     assert sum(r.failures for r in results) == 0
     assert workloads.sweep_pin_problems(workloads.sweep_pin(results),
                                         pinned["sweep-small"]["0"]) == []
+
+
+def test_rip_cert_seed_0_matches_its_pin():
+    workload = load("workloads").RipCert()
+    pinned = json.loads((PERFBENCH / "pinned.json").read_text(encoding="utf-8"))
+    fixture = workload.build(0)
+    out = workload.call(fixture)
+    d6, d8 = out[:2]
+    assert d6.delta_exact is not None and d6.delta_lower == d6.delta_exact
+    exact_6, lower_8 = pinned["rip-cert"]["0"]
+    assert abs(d6.delta_exact - exact_6) <= 1e-12
+    assert abs(d8.delta_lower - lower_8) <= 1e-12
+    assert workload.check(fixture, out) == []

@@ -17,7 +17,7 @@ from cosamp.operators import (
     identity_operator,
     partial_fourier_operator,
 )
-from cosamp.signals import SupportSet, embed
+from cosamp.signals import SupportSet, as_samples, embed
 
 
 def dft_submatrix_oracle(rows, n, m):
@@ -274,6 +274,22 @@ class TestRestrictedView:
             for seed in range(3):
                 z = random_signal(52 + seed, size, complex_valued=complex_valued)
                 assert np.array_equal(view.normal(z), view.adjoint(view.apply(z)))
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_dense_rhs_is_kept_only_for_samples_that_cannot_change(self, complex_valued):
+        mat = prng.normals(53, 12 * 40).reshape(12, 40)
+        op = dense_operator(mat + 1j * mat[::-1] if complex_valued else mat)
+        T = SupportSet(np.array([3, 7, 20, 31]), 40)
+        view = op.restricted(T)
+        u = random_signal(54, 12, complex_valued=complex_valued)
+        assert np.array_equal(view.rhs(u), op.adjoint_sub(T, u))
+        u *= 2.0  # a writable u may change between solves: its product is made again
+        assert np.array_equal(view.rhs(u), op.adjoint_sub(T, u))
+        frozen = as_samples(u)
+        kept = view.rhs(frozen)
+        assert view.rhs(frozen) is kept and not kept.flags.writeable
+        assert np.array_equal(kept, op.adjoint_sub(T, frozen))
+        assert np.array_equal(view.rhs(list(frozen)), kept)  # not kept, the same bits
 
     def test_dense_view_checks_lengths(self):
         view = gaussian_operator(16, 64, seed=48).restricted(SupportSet(np.array([1, 8]), 64))

@@ -2,6 +2,7 @@
 halting rules, diagnostics, and determinism."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -921,3 +922,90 @@ class TestLoopRecords:
         moved = dataclasses.replace(state)
         assert moved.support is None and moved.view is None
         assert moved != state and moved == moved and hash(moved) != hash(state)
+
+
+def _held(state):
+    """Each field of ``state``, with an array's bytes as they are now."""
+    values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+    return {name: (value, value.tobytes() if isinstance(value, np.ndarray) else None)
+            for name, value in values.items()}
+
+
+def _still_holds(state, held):
+    return all(getattr(state, name) is value
+               and (raw is None or value.tobytes() == raw) for name, (value, raw) in held.items())
+
+
+class TestReturnedStatesStayPut:
+    """The loop hands each iteration a state of its own, so no state it
+    returned loses its proxy y, its estimate b or its a_prev, or changes a byte."""
+
+    @staticmethod
+    def instance(kind):
+        if kind == "gaussian":
+            op = cosamp.gaussian_operator(40, 128, seed=5)
+        else:
+            op = cosamp.partial_fourier_operator(48, 128, seed=5)
+        x = cosamp.make_sparse(128, 6, "flat", position_seed=6, sign_seed=7)
+        return op, x, op.apply(x) + 1e-2 * prng.normals(8, op.m)
+
+    @pytest.mark.parametrize("loop", LOOPS, ids=str)
+    @pytest.mark.parametrize("kind", ["gaussian", "partial_fourier"])
+    def test_loop_never_modifies_a_state_it_returned(self, loop, kind):
+        op, x, u = self.instance(kind)
+        returned = []
+
+        def spy(state, y, *args):
+            new_state, v_norm = iterate(state, y, *args)
+            returned.append((new_state, _held(new_state)))
+            return new_state, v_norm
+
+        iterate = cosamp.recovery._iterate
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cosamp.recovery, "_iterate", spy)
+            config = RecoveryConfig(s=6, halting=FixedIterations(5), record_diagnostics=True)
+            LOOPS[loop](op, u, config, truth=x)
+        assert len(returned) == 5
+        for state, held in returned:
+            assert all(held[name][0] is not None for name in ("y", "b", "a_prev"))
+            assert _still_holds(state, held)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "partial_fourier"])
+    def test_stepping_leaves_its_input_state_as_it_was(self, kind):
+        op, _, u = self.instance(kind)
+        state = initial_state(op, u, 6)
+        for _ in range(5):
+            held = _held(state)
+            stepped = cosamp_iteration(state, op, u, RecoveryConfig(s=6))
+            assert _still_holds(state, held)
+            state = stepped
+
+
+class TestStorageContract:
+    """One partial-Fourier ``recover`` works in O(N) storage: its tracemalloc
+    peak stays within 7.5 complex N-vectors, plus the closed-form Gram on
+    |T| <= 3s and 1 MiB, and its approximation keeps its pinned bytes."""
+
+    APPROXIMATION_SHA256 = {
+        16: "43a45079fc8cb354e9211a20e20f4c7954283b5795cdb474d432ce3a4791ae13",
+        18: "351dc2410ea27f65023377ba01be1fecf3006f5847f0544c59e266dc3d4c7f68",
+        20: "5e3e8c6e21d1f9515088b2740c16441b17bc675a848f2dbb0b0e68b3624aa2f5",
+    }
+
+    @pytest.mark.parametrize("log2_n", sorted(APPROXIMATION_SHA256))
+    def test_recover_peak_is_seven_and_a_half_vectors(self, log2_n):
+        n = 1 << log2_n
+        s = max(8, n // 2048)
+        op = cosamp.partial_fourier_operator(n // 4, n, seed=7)
+        u = op.apply(cosamp.make_sparse(n, s, "flat", position_seed=1, sign_seed=2))
+        config = RecoveryConfig(s=s, halting=SampleNorm(1e-9 * float(np.linalg.norm(u))))
+        tracemalloc.start()
+        try:
+            report = recover(op, u, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.halt_reason == "sample_norm"
+        assert peak <= 7.5 * 16 * n + 16 * (3 * s) ** 2 + 2**20
+        digest = hashlib.sha256(report.approximation.tobytes()).hexdigest()
+        assert digest == self.APPROXIMATION_SHA256[log2_n]
