@@ -17,12 +17,11 @@ platforms.  The generation pipeline is pinned:
 * Derived seeds (per sweep cell, per trial) come from ``mix_seed``, a
   SplitMix64 fold of the master seed and the index tuple.
 
-Single streams, however long, come from numpy's ``Philox``, whose C code is
-the fast path and the reference.  Many short streams at once
-(:func:`sample_many`, one per Monte Carlo trial) are computed in one numpy
-pass instead: Philox block b of key k is a pure function of (k, b), so
-:func:`raw_words_many` evaluates the same rounds over a whole key vector and
-gives the same words, bit for bit, as one ``numpy.random.Philox`` per key.
+Single streams come from numpy's ``Philox``, the fast path and the reference.
+Many short streams at once (:func:`sample_many`, one per Monte Carlo trial)
+take one numpy pass: Philox block b of key k is a pure function of (k, b),
+so :func:`raw_words_many` runs the same rounds in place over a key vector,
+and the shuffles run swap by swap on a positions x trials byte table.
 
 Changing any of these choices invalidates stored fixtures, so don't.
 """
@@ -42,8 +41,7 @@ _MIX2 = 0x94D049BB133111EB
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# int64 entries in one chunk of sample_many's trials x n shuffle table (2 MB)
-_TABLE_ENTRIES = 1 << 18
+_TABLE_ENTRIES = 1 << 21  # bytes in one chunk of sample_many's shuffle table and words
 _BLOCK_PAIRS = 1 << 17  # Box-Muller pairs per block of normals (2 MB of words)
 
 
@@ -64,11 +62,9 @@ def check_seed(seed: int) -> int:
 
 
 def mix_seed(*parts: int) -> int:
-    """Fold integers into a single 64-bit seed.
-
-    ``mix_seed(master, cell_index, trial_index, stream)`` is the documented
-    derivation used by sweeps, so any cell/trial is re-runnable in isolation.
-    """
+    """Fold integers into one 64-bit seed: ``mix_seed(master, cell_index,
+    trial_index, stream)`` is the documented derivation used by sweeps, so any
+    cell/trial is re-runnable in isolation."""
     state = 0
     for part in parts:
         state = _splitmix64(state ^ (int(part) & _MASK64))
@@ -94,36 +90,44 @@ def raw_words(seed: int, count: int) -> np.ndarray:
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high words of the 128-bit products a * b, b a uint64 array;
-    the high word is summed from 32-bit half products, none of which overflows."""
-    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
-    b_lo, b_hi = b & np.uint64(_MASK32), b >> np.uint64(32)
-    mid = ((a_lo * b_lo) >> np.uint64(32)) + a_lo * b_hi
-    high = a_hi * b_lo + (mid & np.uint64(_MASK32))
-    return a * b, a_hi * b_hi + (mid >> np.uint64(32)) + (high >> np.uint64(32))
+    """Low and high words of the 128-bit products a * b, the low ones over the uint64
+    array b; the high word is summed in place from 32-bit half products, none overflowing."""
+    a_lo, a_hi, half = np.uint64(a & _MASK32), np.uint64(a >> 32), np.uint64(32)
+    b_lo, b_hi = b & np.uint64(_MASK32), b >> half
+    mid = b_lo * a_lo
+    mid >>= half
+    mid += b_hi * a_lo
+    b_lo *= a_hi
+    b_lo += mid & np.uint64(_MASK32)
+    b_hi *= a_hi
+    b_hi += mid >> half
+    b_hi += b_lo >> half
+    b *= np.uint64(a)
+    return b, b_hi
 
 
 def raw_words_many(keys: np.ndarray, count: int) -> np.ndarray:
     """Row i is ``raw_words(keys[i], count)``, computed for every key at once.
 
     Philox-4x64-10 runs on key (k, 0) over block counters 1, 2, ..., as
-    numpy's ``Philox`` numbers them.  The state is laid out blocks x keys, so
-    every operation runs along the long key axis, and a lane starts as the
-    shared counter row and widens to every key only when a key enters it.
+    numpy's ``Philox`` numbers them, in place on blocks x keys lanes: a lane is
+    the shared counter row until a key enters it.  Its ``.T`` is C-contiguous words x keys.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    blocks = -(-count // 4)
-    k0, k1 = keys, 0
+    blocks, k0, k1 = -(-count // 4), keys, 0
     x0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-    x1 = x2 = x3 = np.zeros_like(x0)
+    x1, x2, x3 = (np.zeros_like(x0) for _ in range(3))
     for round_ in range(_PHILOX_ROUNDS):
         if round_:
             k0, k1 = k0 + np.uint64(_PHILOX_W[0]), (k1 + _PHILOX_W[1]) & _MASK64
         lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
         lo1, hi1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)  # blocks x keys x 4
-    return words.transpose(1, 0, 2).reshape(keys.size, 4 * blocks)[:, :count]
+        hi1 = np.bitwise_xor(hi1, k0, out=hi1 if hi1.shape[1] == keys.size else None)
+        hi1 ^= x1
+        hi0 ^= x3
+        hi0 ^= np.uint64(k1)
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+    return np.stack((x0, x1, x2, x3), axis=1).reshape(4 * blocks, keys.size)[:count].T
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
@@ -140,12 +144,9 @@ def _pairs(philox: np.random.Philox, pairs: int) -> tuple[np.ndarray, np.ndarray
 
 
 def normals(seed: int, count: int) -> np.ndarray:
-    """Standard normal deviates via Box-Muller.
-
-    Consumes 2*ceil(count/2) uniforms; pairs (u1, u2) map to
-    sqrt(-2 ln(1-u1)) * (cos, sin)(2 pi u2).  The 1-u1 form keeps the log
-    argument in (0, 1], so no special-casing of u1 == 0 is needed.
-    """
+    """Standard normal deviates via Box-Muller: 2*ceil(count/2) uniforms, pairs
+    (u1, u2) mapped to sqrt(-2 ln(1-u1)) * (cos, sin)(2 pi u2).  The 1-u1 form
+    keeps the log argument in (0, 1], so u1 == 0 needs no special case."""
     pairs = (count + 1) // 2
     out, philox = np.empty(2 * pairs), _philox(seed)
     for start in range(0, 2 * pairs, 2 * _BLOCK_PAIRS):
@@ -182,10 +183,8 @@ def shuffled(seed: int, n: int) -> np.ndarray:
 
 
 def sample_without_replacement(seed: int, n: int, m: int) -> np.ndarray:
-    """First ``m`` entries of a seeded Fisher-Yates shuffle of [0, n), sorted.
-
-    Only the first min(m, n - 1) swaps run; they alone decide those entries.
-    """
+    """First ``m`` entries of a seeded Fisher-Yates shuffle of [0, n), sorted;
+    only the first min(m, n - 1) swaps run, as they alone decide those entries."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     picked = _fisher_yates(seed, n, min(m, n - 1))[:m]
@@ -195,29 +194,30 @@ def sample_without_replacement(seed: int, n: int, m: int) -> np.ndarray:
 def sample_many(seed: int, trials: int, n: int, m: int) -> np.ndarray:
     """Row t is ``sample_without_replacement(mix_seed(seed, t), n, m)``, t < ``trials``.
 
-    The trial seeds are one SplitMix64 fold over a uint64 vector, their words
-    come from :func:`raw_words_many`, and the truncated Fisher-Yates runs as
-    swap i at once in every row of a trials x n table, in chunks of trials
-    that keep the table near 2 MB.
+    Each chunk of trials keys one :func:`raw_words_many` pass by a SplitMix64 fold
+    and runs the truncated Fisher-Yates on a positions x trials table of the narrowest
+    unsigned type holding n - 1, bytes up to n = 256: swap i trades row i, contiguous,
+    with one entry per trial.
     """
     if trials < 0 or not 0 <= m <= n:
         raise ValueError(f"need trials >= 0 and 0 <= m <= n, got trials={trials}, m={m}, n={n}")
-    steps = max(min(m, n - 1), 0)
-    base = np.uint64(mix_seed(seed))
-    chunk = max(1, _TABLE_ENTRIES // max(n, 1))
-    out = np.empty((trials, m), dtype=np.int64)
-    whole = np.empty((min(chunk, trials), n), dtype=np.int64)  # one table for every chunk
+    steps, base = max(min(m, n - 1), 0), np.uint64(mix_seed(seed))
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    chunk = max(1, _TABLE_ENTRIES // max(n * dtype.itemsize, 8 * steps, 1))
+    out, moduli = np.empty((trials, m), dtype=np.int64), n - np.arange(steps, dtype=np.uint64)
     for start in range(0, trials, chunk):
         keys = _splitmix64(np.arange(start, min(trials, start + chunk), dtype=np.uint64) ^ base)
-        offsets = raw_words_many(keys, steps) % np.arange(n, n - steps, -1, dtype=np.uint64)
-        table = whole[: keys.size]
-        table[:] = np.arange(n, dtype=np.int64)
+        # flat index (i + offset) * keys + t of the entry that swap i trades with (i, t)
+        targets = (raw_words_many(keys, steps).T % moduli[:, None]).view(np.int64)
+        targets *= keys.size
+        targets += np.arange(targets.size).reshape(targets.shape)
+        table = np.broadcast_to(np.arange(n, dtype=dtype)[:, None], (n, keys.size)).copy()
         flat = table.reshape(-1)
-        # flat index of the entry (row, i + offset) that swap i trades with (row, i)
-        targets = offsets.astype(np.int64) + np.arange(steps) + n * np.arange(keys.size)[:, None]
         for i in range(steps):
-            table[:, i], flat[targets[:, i]] = flat[targets[:, i]], table[:, i].copy()
-        out[start : start + keys.size] = np.sort(table[:, :m], axis=1)
+            flat[targets[i]], table[i] = table[i], flat[targets[i]]
+        out[start : start + keys.size] = table[:m].T
+        del targets, table, flat  # none held through the next chunk's words
+    out.sort(axis=1)
     return out
 
 

@@ -172,6 +172,12 @@ class TestStorage:
         assert out.nbytes == 16 * self.COUNT
         assert peak <= out.nbytes + self.ALLOWANCE
 
+    def test_sample_many(self):
+        # a chunk's words and byte table, never a trials x n int64 table (100 MB here)
+        out, peak = self.peak(prng.sample_many, 17, 100_000, 128, 8)
+        assert out.nbytes == 8 * 100_000 * 8
+        assert peak <= out.nbytes + 4 * 2**20
+
 
 def test_mix_seed_frozen():
     assert prng.mix_seed(1, 2, 3) == 15020427595393229491
@@ -302,6 +308,39 @@ def test_sample_many_rows_are_per_trial_draws(n, table_entries, monkeypatch):
             for t in range(trials):
                 want = prng.sample_without_replacement(prng.mix_seed(seed, t), n, m)
                 assert np.array_equal(got[t], want), (seed, n, m, t)
+
+
+def test_raw_words_many_leaves_keys_alone():
+    keys = prng.raw_words(77, 500)
+    before = keys.copy()
+    prng.raw_words_many(keys, 9)
+    assert np.array_equal(keys, before)
+    keys.flags.writeable = False
+    want = np.stack([fresh_philox_words(k, 9) for k in keys.tolist()])
+    assert np.array_equal(prng.raw_words_many(keys, 9), want)
+
+
+def assert_rows_are_per_trial_draws(seed, trials, n, m):
+    got = prng.sample_many(seed, trials, n, m)
+    assert got.dtype == np.int64 and got.shape == (trials, m)
+    for t in range(trials):
+        want = prng.sample_without_replacement(prng.mix_seed(seed, t), n, m)
+        assert np.array_equal(got[t], want), (seed, n, m, t)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_sample_many_across_the_byte_table_boundary(n, monkeypatch):
+    # the table is uint8 up to n = 256 and uint16 from 257; chunks of 7 trials
+    # at m >= n - 1 and of 27 to 55 at m <= 1, none of which divides 60
+    monkeypatch.setattr(prng, "_TABLE_ENTRIES", 7 * 8 * (n - 1))
+    for m in (0, 1, n - 1, n):
+        assert_rows_are_per_trial_draws(2**64 - 5, 60, n, m)
+
+
+def test_sample_many_with_a_uint32_table():
+    # n = 65,537 needs four bytes an entry; at m >= n - 1 a chunk holds 4 trials
+    for m in (0, 1, 65_536, 65_537):
+        assert_rows_are_per_trial_draws(9, 5, 65_537, m)
 
 
 def test_sample_many_zero_trials_and_bounds():
