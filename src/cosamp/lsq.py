@@ -16,8 +16,8 @@ divergence flag needs it.  The direct solver is the exact solve: it forms
 and factors the Gram matrix; ``final_polish`` and ``solver="direct"`` run it.
 
 Lengths are checked where data enters a view, not on each internal
-product: each solve checks the support, u and the warm start once, and the
-normal products on the solver's own iterates go unchecked.
+product: each solve checks the support, u and the warm start once, then takes
+the view's unchecked ``products`` and its inner product for its working dtype.
 
 When ||Phi_T* Phi_T - I|| < 1, Richardson contracts by that norm per
 iteration; three warm-started iterations suffice for the recovery loop's
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import RestrictedView, SamplingOperator, _product
+from .operators import _REAL, SamplingOperator
 from .signals import SupportSet
 
 _DIVERGENCE_FACTOR = 10.0
@@ -81,24 +81,27 @@ class LsqResult:
         return self.residual() if callable(self.residual) else self.residual
 
 
-def _result(view: RestrictedView, u: np.ndarray, z, iterations) -> LsqResult:
+def _result(apply, u: np.ndarray, z, iterations) -> LsqResult:
     if u.flags.writeable or not u.flags.owndata:
         u = np.array(u)  # a read-only array that owns its data needs no copy
-    z.flags.writeable = False
-    return LsqResult(z, iterations, lambda: float(np.linalg.norm(u - view.apply(z))))
+    z.setflags(write=False)
+    return LsqResult(z, iterations, lambda: float(np.linalg.norm(u - apply(z))))
 
 
 def _prepare(op: SamplingOperator, T: SupportSet, u, z0, view):
-    if len(T) < 1:
+    """(u, z, view, apply, normal): checked u, a copy of z0, Phi_T and its products."""
+    size = T.indices.size
+    if size < 1:
         raise ValueError("support must be nonempty")
     u = np.asarray(u)
     if u.size != op.m:
         raise ValueError(f"sample vector length {u.size} != m = {op.m}")
     dtype = np.complex128 if (op.is_complex or u.dtype.kind == "c") else np.float64
-    z = np.zeros(len(T), dtype=dtype) if z0 is None else np.asarray(z0).astype(dtype)
-    if z.size != len(T):
-        raise ValueError(f"warm start length {z.size} != |T| = {len(T)}")
-    return u, z, op.restricted(T) if view is None else view
+    z = np.zeros(size, dtype=dtype) if z0 is None else np.array(z0, dtype=dtype)
+    if z.size != size:
+        raise ValueError(f"warm start length {z.size} != |T| = {size}")
+    view = op.restricted(T) if view is None else view
+    return (u, z, view, *view.products(z.dtype))
 
 
 def richardson_solve(
@@ -110,12 +113,12 @@ def richardson_solve(
     error: if the sample-space residual norm grows by 10x over the run the
     result is flagged, and the caller decides what to do.
     """
-    u, z, view = _prepare(op, T, u, z0, view)
+    u, z, view, apply, normal = _prepare(op, T, u, z0, view)
     atu = view.rhs(u, proxy)
-    initial_residual = float(np.linalg.norm(u - view.apply(z)))
+    initial_residual = float(np.linalg.norm(u - apply(z)))
     for _ in range(iterations):
-        z = atu - view.normal(z) + z
-    residual = float(np.linalg.norm(u - view.apply(z)))
+        z = atu - normal(z) + z
+    residual = float(np.linalg.norm(u - apply(z)))
     diverged = residual > _DIVERGENCE_FACTOR * max(initial_residual, 1e-300)
     return LsqResult(z, iterations, residual, diverged)
 
@@ -129,15 +132,16 @@ def cg_solve(
     docstring).  Stops early on a zero residual (e.g. seeded with the exact solution);
     raises ``LinAlgError`` on a curvature d* Phi_T* Phi_T d <= 0 at a nonzero residual.
     """
-    u, z, view = _prepare(op, T, u, z0, view)
-    resid = direction = view.rhs(u, proxy) - view.normal(z)  # neither is written in place
-    rho = float(_product(resid, resid, np.vdot).real)  # <r, r>: ddot for real r
+    u, z, view, apply, normal = _prepare(op, T, u, z0, view)
+    inner = np.ndarray.dot if z.dtype == _REAL else np.vdot  # <a, b>: ddot for real vectors
+    resid = direction = view.rhs(u, proxy) - normal(z)  # neither is written in place
+    rho = float(inner(resid, resid).real)
     used = 0
     for _ in range(iterations):
         if rho == 0.0:
             break
-        gram_d = view.normal(direction)
-        curvature = float(_product(direction, gram_d, np.vdot).real)
+        gram_d = normal(direction)
+        curvature = float(inner(direction, gram_d).real)
         if curvature <= 0.0:  # with rho > 0: ||Phi_T d||^2 underflowed, and z would stall
             raise np.linalg.LinAlgError(f"CG curvature {curvature!r} <= 0 at residual {rho!r} > 0")
         alpha = rho / curvature
@@ -146,9 +150,9 @@ def cg_solve(
         if used == iterations:  # the last step's residual and direction would go unread
             break
         resid = resid - alpha * gram_d
-        rho, rho_prev = float(_product(resid, resid, np.vdot).real), rho
+        rho, rho_prev = float(inner(resid, resid).real), rho
         direction = resid + (rho / rho_prev) * direction
-    return _result(view, u, z, used)
+    return _result(apply, u, z, used)
 
 
 def direct_solve(op: SamplingOperator, T: SupportSet, u, proxy=None, view=None) -> LsqResult:
@@ -159,13 +163,13 @@ def direct_solve(op: SamplingOperator, T: SupportSet, u, proxy=None, view=None) 
     ``LsqConfig(solver="direct")`` run it.  Raises :class:`RankDeficiencyError`
     when the smallest Gram eigenvalue falls at or below 1e-12.
     """
-    u, _, view = _prepare(op, T, u, None, view)
+    u, _, view, apply, _ = _prepare(op, T, u, None, view)
     gram = view.gram()
     smallest = float(np.linalg.eigvalsh(gram)[0])
     if smallest <= 1e-12:
         raise RankDeficiencyError(smallest)
     z = np.linalg.solve(gram, view.rhs(u, proxy))
-    return _result(view, u, z, 1)
+    return _result(apply, u, z, 1)
 
 
 def solve(op: SamplingOperator, T: SupportSet, u, z0, config: LsqConfig, proxy=None,

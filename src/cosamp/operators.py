@@ -10,10 +10,12 @@ view with ``apply``, ``adjoint``, ``normal``, ``columns`` and ``gram`` that
 runs on the operator's own ``apply_sub`` / ``adjoint_sub``.  Dense
 operators, unless a subclass overrides those, slice Phi_T once per view
 instead of once per product.  Lengths are checked where data enters a
-view, not on each internal product: the sliced view's ``apply`` /
-``adjoint`` check theirs, its ``normal`` does not.  Dense products of two
+view, not on each internal product: a view's ``apply`` / ``adjoint`` check
+theirs, its ``products`` do not.  Dense products of two
 float64 operands run as ``ndarray.dot``, ``@``'s BLAS call without matmul's
 dispatch; any complex operand keeps ``@``, as ``dot``'s bits differ there.
+A full product or a public view product decides this per call; the solvers
+and the loop's update take it once per view and dtype from ``products``.
 
 An operator whose Gram matrix ``Phi* Phi`` has a closed form may also offer
 ``gram_sub(T)``, returning ``Phi_T* Phi_T`` without an operator product
@@ -41,9 +43,9 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-def _product(a: np.ndarray, b: np.ndarray, fallback=np.matmul):
-    """``fallback(a, b)``, taken as ``a.dot(b)`` when both are float64 (see above)."""
-    return a.dot(b) if a.dtype == _REAL and b.dtype == _REAL else fallback(a, b)
+def _product(a: np.ndarray, b: np.ndarray):
+    """``a @ b``, taken as ``a.dot(b)`` when both are float64 (see above)."""
+    return a.dot(b) if a.dtype == _REAL and b.dtype == _REAL else a @ b
 
 
 def _check_length(vec, expected: int, what: str) -> np.ndarray:
@@ -133,6 +135,10 @@ class RestrictedView:
         """Phi_T* u, read off a given ``proxy`` = Phi* u if the Gram has a closed form."""
         return self.adjoint(u) if proxy is None or self._gram_sub is None else proxy[self.T.indices]
 
+    def products(self, dtype) -> tuple:
+        """``(apply, normal)`` for length-|T| vectors of ``dtype`` the caller made: unchecked."""
+        return self.apply, self.normal
+
     def columns(self) -> np.ndarray:
         op, T = self.op, self.T
         dtype = np.complex128 if op.is_complex else np.float64
@@ -154,14 +160,14 @@ class RestrictedView:
 class _SlicedView(RestrictedView):
     """Dense Phi_T sliced once.  Each product is the BLAS call that
     ``apply_sub`` / ``adjoint_sub`` make on a fresh slice, so the results
-    are theirs bit for bit; the columns are the slice.  ``normal`` takes
-    the solver's own iterates, so unlike ``apply`` it checks no length.  The
-    slice keeps the gather's memory order, which decides BLAS's bits.  A
-    real slice times a real vector is ``ndarray.dot``, any complex side ``@``."""
+    are theirs bit for bit; the columns are the slice.  The slice keeps the
+    gather's memory order, which decides BLAS's bits.  A real slice times a
+    real vector is ``ndarray.dot``, any complex side ``@``: ``products`` makes
+    that choice once for a dtype, ``apply`` and ``adjoint`` per call."""
 
     def __init__(self, op: SamplingOperator, T: SupportSet, sub: np.ndarray):
         self.op, self.T, self.sub, self.sub_h, self._gram_sub = op, T, sub, sub.conj().T, None
-        self._u = None
+        self._u = self._products = None
 
     def apply(self, z, embedded=None) -> np.ndarray:
         return _product(self.sub, _check_length(z, len(self.T), "coefficients"))
@@ -169,8 +175,16 @@ class _SlicedView(RestrictedView):
     def adjoint(self, v) -> np.ndarray:
         return _product(self.sub_h, _check_length(v, self.sub.shape[0], "sample vector"))
 
-    def normal(self, z) -> np.ndarray:
-        return _product(self.sub_h, _product(self.sub, z))
+    def products(self, dtype) -> tuple:
+        if self._products is None or self._products[0] != dtype:  # bound once per dtype
+            sub, sub_h = self.sub, self.sub_h
+            if dtype == _REAL and sub.dtype == _REAL:
+                dot, dot_h = sub.dot, sub_h.dot
+                pair = (lambda z, embedded=None: dot(z)), (lambda z: dot_h(dot(z)))
+            else:
+                pair = (lambda z, embedded=None: sub @ z), (lambda z: sub_h @ (sub @ z))
+            self._products = (dtype, pair)
+        return self._products[1]
 
     def rhs(self, u, proxy=None) -> np.ndarray:
         if u is not self._u:  # keep Phi_T* u for samples that cannot change, as the loop's

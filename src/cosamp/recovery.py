@@ -30,7 +30,7 @@ import numpy as np
 from .lsq import LsqConfig, LsqResult, solve
 from .operators import RestrictedView, SamplingOperator
 from .signals import (SupportSet, _l2, _neg_abs, _select, as_samples, best_s_approx, embed,
-                      restrict, support_of)  # perfbench's tracer patches best_s_approx here
+                      restrict, support_of)  # perfbench's tracer patches best_s_approx, embed here
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,8 @@ def merge_support(omega: SupportSet, prev: SupportSet) -> SupportSet:
 
 
 def _inf_norm(y: np.ndarray) -> float:
-    return float(np.abs(y).max()) if y.size else 0.0
+    mag = np.abs(y)  # read at argmax: max's entry, without a reduction's set-up cost
+    return float(mag[mag.argmax()]) if y.size else 0.0
 
 
 def _limits(rules, s: int) -> tuple[float, float, float]:
@@ -199,10 +200,10 @@ def _estimate(
     """Standard estimate: least squares on ``view`` = Phi_T against the original samples
     u and the proxy c = Phi* u (None if unknown), warm-started from a restricted to T."""
     T = view.T
-    if len(T) == 0:
-        return np.zeros_like(state.a), None
+    if T.indices.size == 0:
+        return np.zeros(0, state.a.dtype), None
     result = solve(op, T, u, state.a[T.indices], config.lsq, c, view)
-    return embed(result.coefficients, T), result
+    return result.coefficients, result
 
 
 def _iterate(state: RecoveryState, y: np.ndarray, keys: list[np.ndarray], op: SamplingOperator,
@@ -214,38 +215,44 @@ def _iterate(state: RecoveryState, y: np.ndarray, keys: list[np.ndarray], op: Sa
 
     ``merge(state, y_neg, omega, prune_width)`` returns the estimation
     support T and ``estimate(op, u, c, y, state, omega, view, config)`` the
-    pre-prune estimate b, zero off T (so the prune ranks b on T alone), with
-    its solver result; they are the only steps in which the loop variants
-    differ; ``view`` is Phi_T, which the update applies too.  The five step
-    times in microseconds go into ``times``, in one update from the step
-    boundaries.  A solver ``LinAlgError`` or a non-finite estimate raises
-    :class:`SolverFailure`.
+    pre-prune estimate b on T, b[T] (b is zero off T, so the prune ranks b on
+    T alone), with its solver result; they are the only steps in which the
+    loop variants differ; ``view`` is Phi_T, which the update applies too.
+    The five step times in microseconds go into ``times``, in one update from
+    the step boundaries.  A solver ``LinAlgError`` or a non-finite estimate
+    raises :class:`SolverFailure`.
     """
     clock = time.perf_counter_ns
     t0 = clock()
-    prune_width = min(config.s, op.n)  # identify 2s, prune to s, both capped at N
-    omega = SupportSet._trusted(_select(keys[0], min(2 * config.s, op.n)), op.n)
+    n = op.n
+    prune_width = min(config.s, n)  # identify 2s, prune to s, both capped at N
+    omega = SupportSet._trusted(_select(keys[0], min(2 * config.s, n)), n)
     t1 = clock()
     T = merge(state, keys.pop(), omega, prune_width)
     t2 = clock()
-    view = state.view
-    if view is None or view.op is not op or view.T != T:
+    idx, view = T.indices, state.view
+    if view is None or view.op is not op or view.T.indices.tobytes() != idx.tobytes():
         view = op.restricted(T)
     try:
-        b, lsq_result = estimate(op, u, c, y, state, omega, view, config)
+        b_T, lsq_result = estimate(op, u, c, y, state, omega, view, config)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(state.k + 1, exc) from exc
-    if lsq_result is not None and not np.isfinite(lsq_result.coefficients).all():
+    if lsq_result is not None and (np.count_nonzero(np.isfinite(lsq_result.coefficients))
+                                   < lsq_result.coefficients.size):
         raise SolverFailure(
             state.k + 1, FloatingPointError("estimate has non-finite coefficients")
         )
+    b = np.zeros(n, b_T.dtype)
+    b[idx] = b_T
     t3 = clock()
-    chosen = _select(_neg_abs(b[T.indices]), prune_width)  # T is sorted: ties break as on b
-    support = SupportSet._trusted(T.indices[chosen], op.n)
-    a_next = restrict(b, support)  # best_s_approx(b, prune_width), selected on T alone
-    kept = a_next[T.indices]
+    chosen = _select(_neg_abs(b_T), prune_width)  # T is sorted: ties break as on b
+    support = SupportSet._trusted(idx[chosen], n)
+    kept = np.zeros(idx.size, b_T.dtype)  # a_next on T, for the update
+    kept[chosen] = values = b_T[chosen]
+    a_next = np.zeros(n, b_T.dtype)  # best_s_approx(b, prune_width), selected on T alone
+    a_next[support.indices] = values
     t4 = clock()
-    v_next = u - view.apply(kept, a_next)
+    v_next = u - view.products(b_T.dtype)[0](kept, a_next)
     v_norm = _l2(v_next)
     state = RecoveryState(state.k + 1, state.s, a_next, state.a, v_next, y, omega, T, b,
                           lsq_result)
@@ -416,7 +423,7 @@ def _drive(
         tick = time.perf_counter_ns()
         y = op.adjoint(state.v)
         keys = [_neg_abs(y)]  # the one |y| pass: ||y||_inf, the identify step, prune-first
-        y_inf = float(-keys[0].min()) if y.size else 0.0
+        y_inf = float(-keys[0][keys[0].argmin()]) if y.size else 0.0
         c = y if c is None else c
         times = {"proxy": (time.perf_counter_ns() - tick) / 1000.0}
         if y_inf <= y_limit:

@@ -78,19 +78,22 @@ def _deviations(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
 
 def _deviation_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """||G_S - I||_F, an upper bound on ||G_S - I||_2, for each increasing support row S,
-    over the lower triangle ``eigvalsh`` reads (entry (S_b, S_a) of G for b > a),
-    gathered straight from G so that no N x N temporary is made."""
-    n = gram.shape[0]
-    entries = gram.ravel()
-    diagonal = np.diagonal(gram)
+    over the lower triangle ``eigvalsh`` reads (entry (S_b, S_a) of G for b > a).  Each
+    term, |G_ss - 1|^2 or 2|G_ts|^2, is squared once: all of G when the supports read
+    more entries than it has, else as gathered, so few supports make no N x N temporary."""
+    n, r, entries = gram.shape[0], supports.shape[1], gram.ravel()
+    diagonal, squared = np.abs(np.diagonal(gram) - 1.0) ** 2, supports.size * (r - 1) > 2 * n * n
+    if squared:  # the same ufuncs on the same entries: the same bits as squaring each gather
+        entries = 2.0 * np.abs(entries) ** 2
     out = np.empty(supports.shape[0])
     for start in range(0, supports.shape[0], _CHUNK):
-        cols = supports[start : start + _CHUNK].T
-        squares = sum(np.abs(diagonal[c] - 1.0) ** 2 for c in cols)
+        cols = np.ascontiguousarray(supports[start : start + _CHUNK].T)
+        squares = sum(diagonal[c] for c in cols)
         for b in range(1, len(cols)):
             row = cols[b] * n
             for a in range(b):
-                squares += 2.0 * np.abs(entries[row + cols[a]]) ** 2
+                pair = entries[row + cols[a]]
+                squares += pair if squared else 2.0 * np.abs(pair) ** 2
         out[start : start + cols.shape[1]] = np.sqrt(squares)
     return out
 

@@ -67,7 +67,7 @@ class SupportSet:
     @classmethod
     def _trusted(cls, indices: np.ndarray, n: int) -> "SupportSet":
         """Wrap int64 indices increasing and in [0, n) by construction: no copy, no check."""
-        indices.flags.writeable = False
+        indices.setflags(write=False)
         supp = object.__new__(cls)
         supp.__dict__.update(indices=indices, n=n)  # past the frozen __setattr__
         return supp
@@ -154,7 +154,8 @@ def _select(neg: np.ndarray, s: int) -> np.ndarray:
     if s < neg.size:
         part = neg.copy()
         part.partition(s - 1)  # np.partition's kernel, as .nonzero() is np.flatnonzero's
-        threshold = part[s - 1] if part[s - 1] == part[s - 1] else 0.0
+        threshold = float(part[s - 1])  # compared as a Python float: the same float64 compares
+        threshold = threshold if threshold == threshold else 0.0
     chosen = (neg <= threshold).nonzero()[0]
     if chosen.size > s:
         # more entries tie at the threshold than fit: the lowest-index ones stay

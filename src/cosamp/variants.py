@@ -35,9 +35,9 @@ def recover_residual_variant(
 
 def _residual_estimate(op, u, c, y, state, omega: SupportSet, view, config: RecoveryConfig):
     if len(omega) == 0:
-        return state.a.copy(), None
+        return state.a[view.T.indices], None
     result = solve(op, omega, state.v, None, config.lsq, y)  # y = Phi* v
-    return state.a + embed(result.coefficients, omega), result
+    return (state.a + embed(result.coefficients, omega))[view.T.indices], result
 
 
 def final_polish(op: SamplingOperator, u, a) -> np.ndarray:

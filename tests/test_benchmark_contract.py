@@ -61,6 +61,20 @@ def test_traced_recovery_matches_and_restores(tracing):
     assert all(getattr(module, name) is original for module, name, original in before)
 
 
+def test_traced_recovery_shows_one_solve_per_iteration(tracing):
+    # perfbench's lsq metrics read these spans: each iteration's solve must still
+    # pass through recovery.solve and lsq.cg_solve, the names the tracer patches
+    op = cosamp.gaussian_operator(32, 128, seed=5)
+    u = op.apply(cosamp.make_sparse(128, 4, "flat", position_seed=6, sign_seed=7))
+    tracer = tracing.Tracer()
+    with tracer.active():
+        report = cosamp.recover(tracing.TracedOperator(op, tracer), u,
+                                RecoveryConfig(s=4, halting=FixedIterations(4)))
+    counts = tracer.counts()
+    assert report.iterations_run == 4
+    assert counts["lsq.solve"] == 4 and counts["lsq.cg_solve"] == 4
+
+
 def test_sweep_small_seed_0_matches_its_pin():
     workloads = load("workloads")
     pinned = json.loads((PERFBENCH / "pinned.json").read_text(encoding="utf-8"))

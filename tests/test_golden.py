@@ -1,8 +1,10 @@
 """Golden outputs of the three recovery loops, pinned bit for bit.
 
-Each of 108 seeded instances runs ``recover``, ``recover_residual_variant``
+Each of 144 seeded instances runs ``recover``, ``recover_residual_variant``
 or ``recover_prune_first_variant`` on a real Gaussian, a complex dense or a
-partial-Fourier operator with the CG, Richardson or direct solver.  The pins
+partial-Fourier operator, or on a real Gaussian with complex truth and noise
+("real-complex", whose dense products fall back from ``ndarray.dot`` to ``@``),
+with the CG, Richardson or direct solver.  The pins
 in ``golden_loop.json`` hold, per instance, the sha256 of the approximation's
 bytes, the halt reason, ``iterations_run``, the diverged iterations and the
 sha256 of every trace row's ``v_norm``, ``y_inf``, ``err_l2`` and ``err_linf``
@@ -37,7 +39,7 @@ LOOPS = {
     "residual": recover_residual_variant,
     "prune-first": recover_prune_first_variant,
 }
-KINDS = ("gaussian", "complex", "fourier")
+KINDS = ("gaussian", "complex", "fourier", "real-complex")
 SOLVERS = ("cg", "richardson", "direct")
 SEEDS = (0, 1, 2, 3)
 M, N = 48, 128
@@ -45,7 +47,7 @@ M, N = 48, 128
 
 def _operator(kind: str, seed: int):
     op_seed = prng.mix_seed(seed, 501)
-    if kind == "gaussian":
+    if kind in ("gaussian", "real-complex"):
         return cosamp.gaussian_operator(M, N, op_seed)
     if kind == "complex":
         return cosamp.dense_operator(prng.complex_normals(op_seed, M * N).reshape(M, N)
@@ -56,9 +58,10 @@ def _operator(kind: str, seed: int):
 def _instance(kind: str, solver: str, seed: int):
     """(op, u, config, truth, noise): s, the noise and the halting rules vary with the seed."""
     op = _operator(kind, seed)
-    draw = prng.complex_normals if op.is_complex else prng.normals
+    complex_data = op.is_complex or kind == "real-complex"
+    draw = prng.complex_normals if complex_data else prng.normals
     s = 3 + seed
-    x = np.zeros(N, dtype=np.complex128 if op.is_complex else np.float64)
+    x = np.zeros(N, dtype=np.complex128 if complex_data else np.float64)
     x[prng.sample_without_replacement(prng.mix_seed(seed, 502), N, s)] = draw(
         prng.mix_seed(seed, 503), s)
     u = op.apply(x)

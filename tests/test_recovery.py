@@ -1009,3 +1009,89 @@ class TestStorageContract:
         assert peak <= 7.5 * 16 * n + 16 * (3 * s) ** 2 + 2**20
         digest = hashlib.sha256(report.approximation.tobytes()).hexdigest()
         assert digest == self.APPROXIMATION_SHA256[log2_n]
+
+
+class TestCostCounts:
+    """The paper's cost as counts, which hold on any host: one full adjoint per
+    iteration, plus one full apply (the update) per partial-Fourier iteration;
+    at most k + 1 normal products per CG-k or Richardson-k solve and none in the
+    direct solve; a new view of Phi_T only when T changes; and no other product.
+
+    ``Counting`` hides the dense operators' sliced view, so every product of the
+    solves and the update reaches it as an ``apply_sub`` or ``adjoint_sub``."""
+
+    KINDS = ("gaussian", "complex", "fourier")
+    ITERATIONS = 12
+
+    @staticmethod
+    def instance(kind):
+        if kind == "fourier":
+            return TestTwoProductIteration.instance(noisy=True)
+        return dense_instances()[TestCostCounts.KINDS.index(kind)]
+
+    @pytest.mark.parametrize("solver", ["cg", "richardson", "direct"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("loop", LOOPS, ids=str)
+    def test_products_per_iteration_and_per_solve(self, loop, kind, solver, monkeypatch):
+        from cosamp import lsq, variants
+        from cosamp.operators import RestrictedView
+
+        op, x, u = self.instance(kind)
+        counted = Counting(op)
+        solves, views, states = [], [], []  # solves: [|T|, normal products] per solve
+
+        def spy_solve(op_, T, samples, z0, config, proxy=None, view=None):
+            solves.append([len(T), 0])
+            return lsq.solve(op_, T, samples, z0, config, proxy, view)
+
+        def spy_normal(view, z):
+            solves[-1][1] += 1
+            return normal(view, z)
+
+        def spy_init(view, op_, T):
+            views.append(T.indices.tobytes())
+            init(view, op_, T)
+
+        def spy_iterate(state, y, *args):
+            done, v_norm = iterate(state, y, *args)
+            states.append(done)
+            return done, v_norm
+
+        normal, init = RestrictedView.normal, RestrictedView.__init__
+        iterate = cosamp.recovery._iterate
+        monkeypatch.setattr(cosamp.recovery, "solve", spy_solve)
+        monkeypatch.setattr(variants, "solve", spy_solve)
+        monkeypatch.setattr(RestrictedView, "normal", spy_normal)
+        monkeypatch.setattr(RestrictedView, "__init__", spy_init)
+        monkeypatch.setattr(cosamp.recovery, "_iterate", spy_iterate)
+        k = self.ITERATIONS
+        config = RecoveryConfig(s=5, halting=FixedIterations(k),
+                                lsq=LsqConfig(solver=solver, iterations=3))
+        report = LOOPS[loop](counted, u, config, truth=x)
+
+        assert report.iterations_run == k and len(states) == k and len(solves) == k
+        calls = counted.calls
+        assert calls["adjoint"] == k
+        assert calls.get("apply", 0) == (k if kind == "fourier" else 0)
+        normals = [count for _, count in solves]
+        if solver == "direct":
+            assert normals == [0] * k
+        else:
+            assert all(count <= 3 + 1 for count in normals)
+            assert solver == "cg" or normals == [3] * k
+        t_changes = sum(
+            state.T.indices.tobytes() != (states[i - 1].T.indices.tobytes() if i else None)
+            for i, state in enumerate(states)
+        )
+        assert len(views) == t_changes + (k if loop == "residual" else 0)
+
+        # nothing else: the right-hand side and each normal product, the update,
+        # Richardson's two residuals and the direct solve's columns
+        residuals = 2 * k if solver == "richardson" else 0
+        if kind == "fourier":
+            assert calls.get("adjoint_sub", 0) == 0
+            assert calls.get("apply_sub", 0) == residuals
+        else:
+            columns = sum(size for size, _ in solves) if solver == "direct" else 0
+            assert calls["adjoint_sub"] == k + sum(normals)
+            assert calls["apply_sub"] == sum(normals) + k + residuals + columns

@@ -1,5 +1,6 @@
 """Restricted isometry estimation and its spectral consequences."""
 
+import hashlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -133,6 +134,31 @@ class TestFullGramBound:
         for r in orders + [op.n]:
             delta = rip_estimate(op, r, "exhaustive").delta_exact
             assert delta <= bound + 1e-12 * max(1.0, bound)
+
+
+# sha256 of _deviation_bounds' bytes on two fixed Grams: rip-cert's real 64 x 128
+# Monte Carlo operator and a complex partial-Fourier one, each over 10,000 and 20
+# of rip-cert's seed-0 Monte Carlo 8-supports
+DEVIATION_BOUND_PINS = {
+    ("rip-cert-64x128", 10_000): "edbd46eeb063b01aed7efa1aca8d27658c46468e03d13c857aa47a65db4ec985",
+    ("rip-cert-64x128", 20): "151bcc1200e47ea6d285282f361598dcc61087628382e0aa93e13cfd91e32ba0",
+    ("fourier-48x128", 10_000): "513d3cd8848cfafd2b8bf7c86bc587e1f7ad337b774c641b5f136cd6ecd2ae27",
+    ("fourier-48x128", 20): "267f146485c4dd418036f320d3c44785fe0e47d8d897323a3eb07907969d3362",
+}
+
+
+class TestDeviationBoundPins:
+    OPERATORS = {
+        "rip-cert-64x128": lambda: gaussian_operator(64, 128, seed=prng.mix_seed(910, 0)),
+        "fourier-48x128": lambda: partial_fourier_operator(48, 128, seed=5),
+    }
+
+    @pytest.mark.parametrize("name, trials", list(DEVIATION_BOUND_PINS), ids=str)
+    def test_bounds_keep_their_bytes(self, name, trials):
+        mat = self.OPERATORS[name]().materialize()
+        supports = prng.sample_many(prng.mix_seed(920, 0), trials, 128, 8)
+        bounds = rip._deviation_bounds(mat.conj().T @ mat, supports)
+        assert hashlib.sha256(bounds.tobytes()).hexdigest() == DEVIATION_BOUND_PINS[name, trials]
 
 
 class TestPrunedEstimateIsExact:
