@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import _REAL, SamplingOperator
-from .signals import SupportSet
+from .signals import SupportSet, check_int
 
 _DIVERGENCE_FACTOR = 10.0
 
@@ -62,7 +62,7 @@ class LsqConfig:
     def __post_init__(self) -> None:
         if self.solver not in ("richardson", "cg", "direct"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.iterations < 1:
+        if check_int(self.iterations, "iterations") < 1:
             raise ValueError("iterations must be >= 1")
 
 

@@ -306,13 +306,10 @@ class PartialFourierOperator(SamplingOperator):
             if seed is None:
                 raise ValueError("need either a seed or an explicit row set")
             rows = prng.sample_without_replacement(prng.check_seed(seed), n, m)
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size != m:
-            raise ValueError(f"row set has {rows.size} rows, expected {m}")
-        if np.unique(rows).size != m or rows.min() < 0 or rows.max() >= n:
-            raise ValueError("rows must be distinct indices in [0, N)")
-        rows = np.sort(rows)
-        rows.flags.writeable = False
+        given = np.size(rows)
+        rows = SupportSet.from_any(rows, n).indices  # refuses non-integers and rows outside [0, N)
+        if rows.size != m or given != m:
+            raise ValueError(f"row set has {given} entries, {rows.size} distinct; expected {m}")
         self.m = int(m)
         self.n = int(n)
         self.seed = int(seed) if drawn else None
@@ -353,19 +350,6 @@ class PartialFourierOperator(SamplingOperator):
         return phases / math.sqrt(self.m)
 
 
-def identity_operator(n: int) -> IdentityOperator:
-    return IdentityOperator(n)
-
-
-def dense_operator(matrix) -> DenseOperator:
-    return DenseOperator(matrix)
-
-
-def gaussian_operator(m: int, n: int, seed: int) -> GaussianOperator:
-    return GaussianOperator(m, n, seed)
-
-
-def partial_fourier_operator(
-    m: int, n: int, seed: int | None = None, rows=None
-) -> PartialFourierOperator:
-    return PartialFourierOperator(m, n, seed=seed, rows=rows)
+# the lowercase names are the classes themselves
+identity_operator, dense_operator = IdentityOperator, DenseOperator
+gaussian_operator, partial_fourier_operator = GaussianOperator, PartialFourierOperator

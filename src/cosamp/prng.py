@@ -32,6 +32,8 @@ import threading
 
 import numpy as np
 
+from .signals import check_int
+
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -56,7 +58,7 @@ def _splitmix64(state):
 
 def check_seed(seed: int) -> int:
     """``seed`` if it is a u64, in [0, 2**64); the streams would fold any other int silently."""
-    if not 0 <= seed <= _MASK64:
+    if not 0 <= check_int(seed, "a seed") <= _MASK64:
         raise ValueError(f"a seed must lie in [0, 2**64), got {seed!r}")
     return seed
 
@@ -135,14 +137,6 @@ def uniforms(seed: int, count: int) -> np.ndarray:
     return (raw_words(seed, count) >> np.uint64(11)) * 2.0**-53
 
 
-def _pairs(philox: np.random.Philox, pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next ``pairs`` Box-Muller pairs (c, s) of ``philox``'s words (see :func:`normals`)."""
-    u = (philox.random_raw(2 * pairs) >> np.uint64(11)) * 2.0**-53
-    radius, angle = np.sqrt(-2.0 * np.log1p(-u[0::2])), 2.0 * np.pi * u[1::2]
-    del u  # gone before the products, so a block peaks at four arrays of ``pairs`` doubles
-    return radius * np.cos(angle), radius * np.sin(angle)
-
-
 def normals(seed: int, count: int) -> np.ndarray:
     """Standard normal deviates via Box-Muller: 2*ceil(count/2) uniforms, pairs
     (u1, u2) mapped to sqrt(-2 ln(1-u1)) * (cos, sin)(2 pi u2).  The 1-u1 form
@@ -151,17 +145,19 @@ def normals(seed: int, count: int) -> np.ndarray:
     out, philox = np.empty(2 * pairs), _philox(seed)
     for start in range(0, 2 * pairs, 2 * _BLOCK_PAIRS):
         block = out[start : start + 2 * _BLOCK_PAIRS]
-        block[0::2], block[1::2] = _pairs(philox, block.size // 2)
+        u = (philox.random_raw(block.size) >> np.uint64(11)) * 2.0**-53
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u[0::2])), 2.0 * np.pi * u[1::2]
+        del u  # gone before the products, so a block peaks at four arrays of its pairs
+        block[0::2], block[1::2] = radius * np.cos(angle), radius * np.sin(angle)
+        del radius, angle  # nor held through the next block's words
     return out[:count]
 
 
 def complex_normals(seed: int, count: int) -> np.ndarray:
-    """Circular complex normals, E|z|^2 = 1: (re + 1j im) / sqrt(2), (re, im) pairs of normals."""
-    out, philox = np.empty(count, dtype=np.complex128), _philox(seed)
-    for start in range(0, count, _BLOCK_PAIRS):
-        re, im = _pairs(philox, min(_BLOCK_PAIRS, count - start))
-        out[start : start + _BLOCK_PAIRS] = (re + 1j * im) / np.sqrt(2.0)
-        del re, im  # not held through the next block's draw
+    """Circular complex normals, E|z|^2 = 1: (re + 1j im) / sqrt(2) for consecutive
+    normals (re, im), divided in place as the complex view of ``normals(seed, 2 * count)``."""
+    out = normals(seed, 2 * count).view(np.complex128)
+    out /= np.sqrt(2.0)
     return out
 
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from .lsq import LsqConfig, LsqResult, solve
 from .operators import RestrictedView, SamplingOperator
-from .signals import (SupportSet, _l2, _neg_abs, _select, as_samples, best_s_approx, embed,
-                      restrict, support_of)  # perfbench's tracer patches best_s_approx, embed here
+from .signals import (SupportSet, _l2, _neg_abs, _select, as_samples, best_s_approx, check_int,
+                      embed, restrict, support_of)  # perfbench patches best_s_approx, embed here
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class FixedIterations:
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 0:
+        if check_int(self.count, "iteration count") < 0:
             raise ValueError("iteration count must be nonnegative")
 
 
@@ -83,9 +83,9 @@ class RecoveryConfig:
     record_diagnostics: bool = False
 
     def __post_init__(self) -> None:
-        if self.s < 1:
+        if check_int(self.s, "s") < 1:
             raise ValueError("s must be >= 1")
-        if self.max_iterations is not None and self.max_iterations < 0:
+        if self.max_iterations is not None and check_int(self.max_iterations, "max_iterations") < 0:
             raise ValueError("max_iterations must be nonnegative")
         if not isinstance(self.halting, HaltingRule) and iter(self.halting) is self.halting:
             raise TypeError("halting must be a rule or a collection of rules, not an iterator")

@@ -31,6 +31,7 @@ from .recovery import StepBound
 from .signals import SupportSet, norms, restrict, support_of
 
 _CHUNK = 50_000
+_GATHER = 36 * _CHUNK  # entries in one batch of r x r gathers: _CHUNK supports of 6 x 6
 _PROBE_COUNT = 256
 # supports and prefixes of at most this many indices get the spectral bounds;
 # past it, a bound costs as much as the eigendecompositions it could save
@@ -68,9 +69,9 @@ def _full_gram(op: SamplingOperator) -> np.ndarray:
 
 def _deviations(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """||G_S - I||_2 for each support row S, one ``eigvalsh`` per matrix."""
-    out = np.empty(supports.shape[0])
-    for start in range(0, supports.shape[0], _CHUNK):
-        block = supports[start : start + _CHUNK]
+    out, step = np.empty(supports.shape[0]), max(1, _GATHER // supports.shape[1] ** 2)
+    for start in range(0, supports.shape[0], step):
+        block = supports[start : start + step]
         eigs = np.linalg.eigvalsh(gram[block[:, :, None], block[:, None, :]])
         out[start : start + block.shape[0]] = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
     return out
@@ -109,9 +110,9 @@ def _hermitian_deviation(gram: np.ndarray) -> np.ndarray:
 def _schatten4_bounds(dev: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """(tr E_S^4)^(1/4) >= ||E_S||_2 for each support row S of E = ``dev``: at most
     r^(1/4) times ||E_S||_2, where the Frobenius norm may reach sqrt(r) times it."""
-    out = np.empty(supports.shape[0])
-    for start in range(0, supports.shape[0], _CHUNK):
-        block = supports[start : start + _CHUNK]
+    out, step = np.empty(supports.shape[0]), max(1, _GATHER // supports.shape[1] ** 2)
+    for start in range(0, supports.shape[0], step):
+        block = supports[start : start + step]
         sub = dev[block[:, :, None], block[:, None, :]]
         squared = sub @ sub
         fourth = np.einsum("kij,kij->k", squared, squared.conj()).real

@@ -6,7 +6,8 @@ dimension.  All indexing is 0-based.
 
 Validation happens at the public constructors: ``as_signal``, ``as_samples``,
 ``SupportSet(indices, n)`` and ``SupportSet.from_any`` copy and check what
-they are given.  Supports the package computes itself (the selection, exact
+they are given, and refuse an index that is not an integer rather than
+truncate it.  Supports the package computes itself (the selection, exact
 supports, unions, complements) are strictly increasing int64 arrays by
 construction, so they are wrapped as they are, read-only and unchecked.
 """
@@ -33,6 +34,22 @@ def _validated_vector(entries, length: int | None, what: str) -> np.ndarray:
     return arr
 
 
+def check_int(value, what: str):
+    """``value`` if it is a Python or numpy integer; a bool, a float or anything else is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _as_indices(indices) -> np.ndarray:
+    """A new int64 array of ``indices``, refused unless each is an integer, not a bool."""
+    if not isinstance(indices, np.ndarray):  # element by element: [True, 2] reads as int64
+        indices = np.array([check_int(i, "an index") for i in indices], dtype=np.int64)
+    if indices.size and indices.dtype.kind not in "iu":
+        raise TypeError(f"an index must be an integer, got dtype {indices.dtype}")
+    return indices.astype(np.int64)
+
+
 def as_signal(entries, n: int | None = None) -> np.ndarray:
     """Validate a length-N signal: 1-D, finite, float64 or complex128.
 
@@ -54,7 +71,9 @@ class SupportSet:
     n: int
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64).copy()
+        if check_int(self.n, "n") < 0:
+            raise ValueError(f"n must be nonnegative, got {self.n!r}")
+        idx = _as_indices(self.indices)
         if idx.ndim != 1:
             raise ValueError("indices must be 1-D")
         if idx.size and (np.diff(idx) <= 0).any():
@@ -83,8 +102,7 @@ class SupportSet:
     @classmethod
     def from_any(cls, indices, n: int) -> "SupportSet":
         """Build from an unsorted, possibly duplicated index collection."""
-        arr = np.unique(np.asarray(indices, dtype=np.int64))
-        return cls(arr, n)
+        return cls(np.unique(_as_indices(indices)), n)
 
     def __len__(self) -> int:
         return int(self.indices.size)

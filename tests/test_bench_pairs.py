@@ -101,3 +101,62 @@ def test_directions_come_from_the_benchmark_file(bench_pairs):
     better = bench_pairs.directions(benchmark)
     assert better["work_per_ref"] == "higher" and better["call_rel_p50"] == "lower"
     assert better["recovery.loop_overhead_us"] == "lower"
+
+
+END_TO_END = [{"name": "call_rel_p50", "better": "lower", "bound": 0.25},
+              {"name": "success_rate", "better": "higher", "bound": 0.15},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def verdict_of(bench_pairs, parent_calls, change_calls, success=(0.5, 0.5), correct=True):
+    """The verdict on sweep-small for one call_rel_p50 per pair and side."""
+    rows = [(seed, (p, success[0], True), (c, success[1], correct))
+            for seed, (p, c) in enumerate(zip(parent_calls, change_calls))]
+    summary = bench_pairs.summarize(run_records(bench_pairs, rows), BETTER)
+    return bench_pairs.verdict(summary, END_TO_END)["sweep-small/trace0"]
+
+
+def test_verdict_regressed_past_the_bound_of_the_parents_median(bench_pairs):
+    got = verdict_of(bench_pairs, [1.0, 1.0, 1.0], [1.3, 1.3, 1.3])
+    call = got["metrics"]["call_rel_p50"]
+    assert call["margin"] == pytest.approx(0.25) and call["worse_by"] == pytest.approx(0.3)
+    assert call["regressed"] and not call["unresolved"] and not got["no_regression"]
+    assert "peak_rss_mb" not in got["metrics"]  # no run reported it
+    within = verdict_of(bench_pairs, [1.0, 1.0, 1.0], [1.2, 1.2, 1.2])
+    assert not within["metrics"]["call_rel_p50"]["regressed"] and within["no_regression"]
+
+
+def test_verdict_unresolved_when_the_parents_iqr_exceeds_the_margin(bench_pairs):
+    # parent 1.0, 1.6, 2.2: IQR 0.6 against a margin of 0.25 * 1.6 = 0.4
+    got = verdict_of(bench_pairs, [1.0, 1.6, 2.2], [1.5, 1.6, 1.7])
+    call = got["metrics"]["call_rel_p50"]
+    assert not call["regressed"] and call["unresolved"] and not got["no_regression"]
+    # unless every change run beats every parent run
+    got = verdict_of(bench_pairs, [1.0, 1.6, 2.2], [0.5, 0.6, 0.99])
+    assert not got["metrics"]["call_rel_p50"]["unresolved"] and got["no_regression"]
+
+
+def test_verdict_reads_higher_is_better_metrics_the_other_way(bench_pairs):
+    # success_rate 0.8 -> 0.6 is worse by 0.2, past 0.15 * 0.8 = 0.12
+    got = verdict_of(bench_pairs, [1.0] * 3, [1.0] * 3, success=(0.8, 0.6))
+    success = got["metrics"]["success_rate"]
+    assert success["worse_by"] == pytest.approx(0.2) and success["regressed"]
+    assert not verdict_of(bench_pairs, [1.0] * 3, [1.0] * 3,
+                          success=(0.6, 0.8))["metrics"]["success_rate"]["regressed"]
+
+
+def test_verdict_needs_every_run_correct(bench_pairs):
+    got = verdict_of(bench_pairs, [1.0] * 3, [1.0] * 3, correct=False)
+    assert not any(m["regressed"] or m["unresolved"] for m in got["metrics"].values())
+    assert not got["no_regression"]
+
+
+def test_summarize_writes_the_verdict_from_the_benchmark_file(bench_pairs, tmp_path):
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text("".join(json.dumps(r) + "\n" for r in run_records(bench_pairs, ROWS)))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["summarize", "--runs", str(runs), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    verdict = doc["verdict"]["sweep-small/trace0"]
+    assert set(verdict["metrics"]) == {"call_rel_p50", "success_rate"}
+    assert verdict["metrics"]["success_rate"]["bound"] == 0.15

@@ -551,3 +551,18 @@ class TestRestrictedView:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+class TestIterationsAreIntegers:
+    """``LsqConfig.iterations`` is refused where it is built unless it is a Python or
+    numpy integer; ``iterations=2.5`` used to fail only inside the solve."""
+
+    @pytest.mark.parametrize("iterations", [2.5, 3.0, True, "3", None, np.float64(3.0)],
+                             ids=repr)
+    def test_refuses_a_non_integer(self, iterations):
+        with pytest.raises(TypeError, match="iterations must be an integer"):
+            LsqConfig(iterations=iterations)
+
+    @pytest.mark.parametrize("iterations", [3, np.int64(3), np.uint8(3)], ids=repr)
+    def test_accepts_an_integer(self, iterations):
+        assert LsqConfig(iterations=iterations).iterations is iterations

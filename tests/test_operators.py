@@ -520,3 +520,53 @@ class TestProductDispatch:
         assert self.same_bytes(op.matrix, want) and not op.matrix.flags.writeable
         assert (op.m, op.n, op.is_complex) == (96, 256, False)
         assert type(op.m) is int and type(op.n) is int
+
+
+class TestOneDefinition:
+    """The lowercase constructors are the classes, and a partial-Fourier row set is
+    read by the ``SupportSet`` reader: integers in [0, N), refused otherwise."""
+
+    def test_lowercase_names_are_the_classes(self):
+        import cosamp
+
+        assert cosamp.identity_operator is cosamp.IdentityOperator is IdentityOperator
+        assert cosamp.dense_operator is cosamp.DenseOperator
+        assert cosamp.gaussian_operator is cosamp.GaussianOperator is GaussianOperator
+        assert cosamp.partial_fourier_operator is cosamp.PartialFourierOperator
+        assert partial_fourier_operator is PartialFourierOperator
+
+    @pytest.mark.parametrize("rows", [[1.5, 3.2], [1.0, 3.0], [True, 3], ["1", "3"],
+                                      np.array([1.5, 3.0]), np.array([True, False])], ids=repr)
+    def test_row_sets_that_are_not_integers_are_refused(self, rows):
+        with pytest.raises(TypeError, match="an index must be an integer"):
+            partial_fourier_operator(2, 8, rows=rows)
+
+    @pytest.mark.parametrize("rows", [[1, 3, 3], [1, 3, 5], [3], [-1, 3], [3, 8]], ids=repr)
+    def test_row_sets_of_the_wrong_count_or_range_are_refused(self, rows):
+        # three entries with one repeat hold two distinct rows, yet are not a 2-row set
+        with pytest.raises(ValueError):
+            partial_fourier_operator(2, 8, rows=rows)
+
+    @pytest.mark.parametrize("rows", [[5, 1, 3], (5, 1, 3), np.array([5, 1, 3], np.int32),
+                                      np.array([1, 3, 5], np.uint64), [np.int64(5), 1, 3]],
+                             ids=repr)
+    def test_integer_row_sets_build_the_same_operator(self, rows):
+        op = partial_fourier_operator(3, 8, rows=rows)
+        assert op.rows.dtype == np.int64 and op.rows.tolist() == [1, 3, 5]
+        assert not op.rows.flags.writeable and op.seed is None
+        want = np.fft.ifft(np.isin(np.arange(8), [1, 3, 5]).astype(float)) * (8 / 3)
+        assert op.gram_kernel.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", np.float64(1.0)], ids=repr)
+    def test_seeds_that_are_not_integers_are_refused(self, seed):
+        # 1.5 used to build seed 1's matrix and report .seed == 1
+        with pytest.raises(TypeError, match="a seed must be an integer"):
+            gaussian_operator(4, 8, seed)
+        with pytest.raises(TypeError, match="a seed must be an integer"):
+            partial_fourier_operator(4, 16, seed=seed)
+
+    def test_numpy_integer_seeds_build_the_same_operator(self):
+        assert gaussian_operator(4, 8, np.uint64(3)).matrix.tobytes() == \
+            gaussian_operator(4, 8, 3).matrix.tobytes()
+        assert partial_fourier_operator(4, 16, np.int64(3)).rows.tolist() == \
+            partial_fourier_operator(4, 16, 3).rows.tolist()

@@ -350,3 +350,19 @@ def test_sample_many_zero_trials_and_bounds():
         prng.sample_many(3, 5, 4, 5)
     with pytest.raises(ValueError):
         prng.sample_many(3, -1, 4, 2)
+
+
+class TestCheckSeed:
+    """A seed must be a Python or numpy integer in [0, 2**64): a float would be
+    truncated by the streams and a bool read as 0 or 1."""
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, np.True_, "3", None,
+                                      np.float64(2.0), [1]], ids=repr)
+    def test_refuses_a_non_integer(self, seed):
+        with pytest.raises(TypeError, match="a seed must be an integer"):
+            prng.check_seed(seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1),
+                                      np.uint8(3)], ids=repr)
+    def test_keeps_an_integer_as_given(self, seed):
+        assert prng.check_seed(seed) is seed

@@ -1095,3 +1095,63 @@ class TestCostCounts:
             columns = sum(size for size, _ in solves) if solver == "direct" else 0
             assert calls["adjoint_sub"] == k + sum(normals)
             assert calls["apply_sub"] == sum(normals) + k + residuals + columns
+
+
+class TestIntegerParameters:
+    """Loop counts must be Python or numpy integers, refused where they are built:
+    ``FixedIterations(2.5)`` used to run 3 iterations, and ``s=2.5`` failed only
+    inside ``recover``."""
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, False, "2", None, np.float64(2.0)],
+                             ids=repr)
+    def test_fixed_iterations_refuses_a_non_integer(self, count):
+        with pytest.raises(TypeError, match="iteration count must be an integer"):
+            FixedIterations(count)
+
+    @pytest.mark.parametrize("field, value", [
+        ("s", 2.5), ("s", 3.0), ("s", True), ("s", "3"), ("s", np.float64(3.0)),
+        ("max_iterations", 2.5), ("max_iterations", 4.0), ("max_iterations", False),
+        ("max_iterations", "4"),
+    ], ids=repr)
+    def test_recovery_config_refuses_a_non_integer(self, field, value):
+        kwargs = {"s": 3, "halting": FixedIterations(2), field: value}
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            RecoveryConfig(**kwargs)
+
+    @pytest.mark.parametrize("integer", [int, np.int64, np.uint8], ids=str)
+    def test_numpy_integers_run_as_python_ints(self, integer):
+        op, x, u = dense_instances()[0]
+        want = recover(op, u, RecoveryConfig(s=5, halting=FixedIterations(3), max_iterations=9))
+        got = recover(op, u, RecoveryConfig(s=integer(5), halting=FixedIterations(integer(3)),
+                                            max_iterations=integer(9)))
+        assert got.iterations_run == want.iterations_run == 3
+        assert got.approximation.tobytes() == want.approximation.tobytes()
+
+
+class TestNoValidationInTheLoop:
+    """The loop wraps the supports it computes as they are: no validating
+    ``SupportSet`` constructor runs in ``recover``, its variants or
+    ``cosamp_iteration``, diagnostics included, so the reader's checks cost the
+    loop nothing."""
+
+    @pytest.mark.parametrize("kind", TestCostCounts.KINDS)
+    @pytest.mark.parametrize("loop", LOOPS, ids=str)
+    def test_no_validated_support_set_is_built(self, loop, kind, monkeypatch):
+        op, x, u = TestCostCounts.instance(kind)
+        config = RecoveryConfig(s=5, halting=FixedIterations(6), record_diagnostics=True)
+        calls = []
+        post_init = SupportSet.__post_init__
+
+        def spy(self):
+            calls.append(len(self.indices))
+            post_init(self)
+
+        monkeypatch.setattr(SupportSet, "__post_init__", spy)
+        report = LOOPS[loop](op, u, config, truth=x)
+        state = initial_state(op, u, 5)
+        for _ in range(3):
+            state = cosamp_iteration(state, op, u, config)
+        assert report.iterations_run == 6 and len(report.step_audits) == 6
+        assert calls == []
+        SupportSet([0], op.n)  # the spy sees a validated construction
+        assert calls == [1]

@@ -529,3 +529,36 @@ class TestConsequences:
         report = RipConsequenceReport((bad,), {})
         assert not report.all_passed
         assert report.failures() == [bad]
+
+
+class TestBoundedGathers:
+    """The r x r gathers of ``_deviations`` and ``_schatten4_bounds`` are batched by
+    entries, not by supports: 50,000 supports of 6 x 6 at a time, as before, and
+    fewer of a larger r, so near r = N one batch stays ~14 MB instead of growing
+    with the support count.  A matrix's eigenvalues do not depend on its batch."""
+
+    def test_near_n_supports_are_solved_in_bounded_batches_with_the_same_bytes(self):
+        gram = rip._full_gram(gaussian_operator(24, 32, seed=77))
+        supports = prng.sample_many(3, 6_000, 32, 26)  # one gather of all: 32 MB
+        tracemalloc.start()
+        try:
+            got = rip._deviations(gram, supports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * rip._GATHER + 2 * 2**20
+        eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+        assert got.tobytes() == np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0]).tobytes()
+
+    def test_schatten4_bounds_keep_their_bytes_in_batches(self, monkeypatch):
+        gram = rip._full_gram(gaussian_operator(24, 32, seed=77))
+        dev = rip._hermitian_deviation(gram)
+        supports = prng.sample_many(4, 500, 32, 12)
+        whole = rip._schatten4_bounds(dev, supports)
+        monkeypatch.setattr(rip, "_GATHER", 144 * 7)  # batches of 7 supports
+        assert rip._schatten4_bounds(dev, supports).tobytes() == whole.tobytes()
+
+    def test_rip_certs_orders_keep_their_single_batch(self):
+        # exhaustive delta_6 solves at most 50,000 supports per batch, as before,
+        # and Monte Carlo delta_8's 10,000 supports stay one batch
+        assert rip._GATHER // 6**2 == 50_000 and rip._GATHER // 8**2 >= 10_000

@@ -299,3 +299,63 @@ class TestTrustedSupports:
         a, e = SupportSet(np.array([1, 4]), 6), SupportSet.empty(6)
         assert a.union(e) == a and e.union(a) == a and e.union(e) == e
         assert_trusted(e.union(e), 6)
+
+
+class TestIndexReader:
+    """``SupportSet(indices, n)`` and ``SupportSet.from_any`` read integers only: a
+    fractional, bool or string index is refused rather than truncated or cast, and so
+    is an ``n`` that is not a nonnegative integer.  Integer input builds what it did."""
+
+    REFUSED = {
+        "fractions": [0.5, 1.7],
+        "integral floats": [0.0, 1.0],
+        "float array": np.array([0.0, 2.0]),
+        "a bool among ints": [True, 2],
+        "numpy bool among ints": [np.True_, 2],
+        "bools": [False, True],
+        "bool array": np.array([False, True]),
+        "strings": ["1", "2"],
+        "complex": [1 + 0j],
+        "objects": np.array([1, 2], dtype=object),
+    }
+
+    @pytest.mark.parametrize("indices", REFUSED.values(), ids=REFUSED.keys())
+    @pytest.mark.parametrize("reader", ["init", "from_any"])
+    def test_refuses_indices_that_are_not_integers(self, reader, indices):
+        build = SupportSet if reader == "init" else SupportSet.from_any
+        with pytest.raises(TypeError, match="an index must be an integer"):
+            build(indices, 4)
+
+    @pytest.mark.parametrize("n", [4.5, 4.0, True, "4", None, np.float64(4.0), -1],
+                             ids=repr)
+    @pytest.mark.parametrize("reader", ["init", "from_any"])
+    def test_refuses_an_n_that_is_not_a_nonnegative_integer(self, reader, n):
+        build = SupportSet if reader == "init" else SupportSet.from_any
+        with pytest.raises((TypeError, ValueError), match="n must be"):
+            build([0, 1], n)
+
+    ACCEPTED = {
+        "list": [0, 2],
+        "tuple": (0, 2),
+        "numpy ints": [np.int64(0), np.uint8(2)],
+        "int32 array": np.array([0, 2], dtype=np.int32),
+        "uint64 array": np.array([0, 2], dtype=np.uint64),
+        "int64 array": np.array([0, 2]),
+    }
+
+    @pytest.mark.parametrize("indices", ACCEPTED.values(), ids=ACCEPTED.keys())
+    @pytest.mark.parametrize("n", [4, np.int64(4), np.uint16(4)], ids=repr)
+    def test_integers_build_what_they_did(self, indices, n):
+        for supp in (SupportSet(indices, n), SupportSet.from_any(indices, n)):
+            assert supp.indices.dtype == np.int64 and supp.indices.tolist() == [0, 2]
+            assert not supp.indices.flags.writeable and supp.n is n
+            assert supp == SupportSet._trusted(np.array([0, 2]), 4)
+
+    @pytest.mark.parametrize("empty", [[], (), np.array([]), np.array([], dtype=np.int32)],
+                             ids=repr)
+    def test_an_empty_collection_of_any_dtype_is_the_empty_support(self, empty):
+        for supp in (SupportSet(empty, 5), SupportSet.from_any(empty, 5)):
+            assert supp == SupportSet.empty(5) and supp.indices.dtype == np.int64
+
+    def test_from_any_still_sorts_and_drops_repeats(self):
+        assert SupportSet.from_any([3, 1, 3, np.int64(0)], 4).indices.tolist() == [0, 1, 3]

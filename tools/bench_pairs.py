@@ -20,7 +20,12 @@ each side's median, quartiles (``statistics.quantiles``, inclusive) and IQR, the
 pairs the change won (by the metric's direction in ``BENCHMARK.json``; ties count
 for neither side), and the median change/parent ratio within a pair.  With
 ``--claim workload:metric`` it also states whether the change won at least 9 in
-10 pairs and its median beat the parent's by more than the parent's IQR.
+10 pairs and its median beat the parent's by more than the parent's IQR.  Its
+``verdict`` states, per workload and end-to-end metric of ``BENCHMARK.json``,
+whether the change ``regressed`` (its median worse than the parent's by more than
+``bound`` times the parent's median) or is ``unresolved`` (the parent's IQR exceeds
+that margin, unless every change run beats every parent run), and ``no_regression``
+when neither holds anywhere and every run was correct with no more failures.
 """
 
 from __future__ import annotations
@@ -131,6 +136,34 @@ def claim(summary: dict, workload: str, metric: str, trace: int = 0) -> dict:
     }
 
 
+def verdict(summary: dict, end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric, ``regressed`` and ``unresolved`` (see above)."""
+    out = {}
+    for key, entry in summary.items():
+        metrics = {}
+        for spec in end_to_end:
+            m = entry["metrics"].get(spec["name"])
+            if m is None:
+                continue
+            sign = 1.0 if m["better"] == "lower" else -1.0  # sign * value: lower is better
+            margin = spec["bound"] * abs(m["parent"]["median"])
+            worse_by = sign * (m["change"]["median"] - m["parent"]["median"])
+            beats_all = (max(sign * v for v in m["change"]["runs"])
+                         < min(sign * v for v in m["parent"]["runs"]))
+            metrics[spec["name"]] = {
+                "bound": spec["bound"], "margin": margin, "worse_by": worse_by,
+                "regressed": worse_by > margin,
+                "unresolved": m["parent"]["iqr"] > margin and not beats_all,
+            }
+        failed = entry["failed_operations"]
+        out[key] = {
+            "metrics": metrics,
+            "no_regression": entry["every_run_correct"] and failed["change"] <= failed["parent"]
+            and not any(m["regressed"] or m["unresolved"] for m in metrics.values()),
+        }
+    return out
+
+
 def export(rev: str, into: Path) -> None:
     """``src/`` and ``perfbench/`` of ``rev`` under ``into``, by git archive."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src", "perfbench"],
@@ -179,10 +212,11 @@ def cmd_run(args) -> int:
 
 def cmd_summarize(args) -> int:
     runs = [json.loads(line) for line in Path(args.runs).read_text().splitlines() if line]
-    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
-    summary = summarize(runs, better)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    summary = summarize(runs, directions(benchmark))
     doc = {"summary": summary,
            "claims": [claim(summary, *c.split(":")) for c in args.claim],
+           "verdict": verdict(summary, benchmark["end_to_end"]),
            "runs": runs}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
