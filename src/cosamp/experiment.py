@@ -232,42 +232,26 @@ class TrialOutcome:
 def run_trial(
     cfg: dict,
     *,
-    cell: dict | None = None,
     cell_index: int = 0,
     trial_index: int = 0,
     variant: str = "standard",
     polish: bool = False,
 ) -> TrialOutcome:
-    """One fully seeded recovery; ``cell`` overrides m/s/noise for sweeps."""
+    """One fully seeded recovery of ``cfg``; a sweep passes each cell's :func:`cell_config`."""
     master = master_seed(cfg)
-    cell = cell or {}
-
     with _reading("operator"):
         op_desc = dict(cfg["operator"])
-    if "m" in cell:
-        op_desc["m"] = cell["m"]
     op_desc.setdefault("seed", prng.mix_seed(master, cell_index, trial_index, STREAM_OPERATOR))
     op = build_operator(op_desc)
-
-    with _reading("signal"):
-        signal_spec = dict(cfg["signal"])
-    if "s" in cell:
-        signal_spec["s"] = cell["s"]
-    truth = build_signal(signal_spec, signal_seeds(master, cell_index, trial_index))
-
-    noise_spec = cfg.get("noise")
-    if "noise_norm" in cell:
-        noise_spec = {**(noise_spec or {}), "norm": cell["noise_norm"]}
+    truth = build_signal(cfg.get("signal", {}), signal_seeds(master, cell_index, trial_index))
     noise = build_noise(
-        noise_spec,
+        cfg.get("noise"),
         op.m,
         op.is_complex,
         prng.mix_seed(master, cell_index, trial_index, STREAM_NOISE),
     )
 
     recovery_cfg = parse_recovery(cfg.get("recovery", {}))
-    if "s" in cell:
-        recovery_cfg = replace(recovery_cfg, s=int(cell["s"]))
     if truth.size != op.n:
         raise ConfigError(f"signal.n: N = {truth.size} differs from the operator's N = {op.n}")
     if recovery_cfg.s > op.n:
@@ -381,13 +365,25 @@ class CellResult:
     failures: int = 0
 
 
+def cell_config(cfg: dict, cell: dict) -> dict:
+    """The config of a sweep cell's trials: ``cfg`` with its m, s and noise norm set."""
+    return {
+        **cfg,
+        "operator": {**cfg["operator"], "m": cell["m"]},
+        "signal": {**cfg["signal"], "s": cell["s"]},
+        "recovery": {**cfg["recovery"], "s": cell["s"]},
+        "noise": {**(cfg.get("noise") or {}), "norm": cell["noise_norm"]},
+    }
+
+
 def run_cell(cfg: dict, cell: dict, trials: int) -> CellResult:
     """Run a cell's trials; a trial that raises counts as failed; a ConfigError stops the sweep."""
     outcomes = []
     failures = 0
+    trial_cfg = cell_config(cfg, cell)
     for t in range(trials):
         try:
-            outcomes.append(run_trial(cfg, cell=cell, cell_index=cell["cell_index"], trial_index=t))
+            outcomes.append(run_trial(trial_cfg, cell_index=cell["cell_index"], trial_index=t))
         except ConfigError:
             raise
         except Exception:

@@ -68,8 +68,8 @@ class LsqConfig:
 
 @dataclass(frozen=True, eq=False)
 class LsqResult:
-    """``residual`` is ||u - Phi_T z||_2, or a function computing it from the solve's u
-    and z, both frozen, that ``residual_samples_norm`` calls on first read."""
+    """``residual`` is ||u - Phi_T z||_2, or a function that ``residual_samples_norm``
+    calls on first read to compute it from the solve's own copy of u and read-only z."""
 
     coefficients: np.ndarray  # length |T|
     iterations_used: int
@@ -82,18 +82,16 @@ class LsqResult:
 
 
 def _result(apply, u: np.ndarray, z, iterations) -> LsqResult:
-    if u.flags.writeable or not u.flags.owndata:
-        u = np.array(u)  # a read-only array that owns its data needs no copy
-    z.setflags(write=False)
+    z.setflags(write=False)  # u is _prepare's copy: the residual stays that of the samples solved
     return LsqResult(z, iterations, lambda: float(np.linalg.norm(u - apply(z))))
 
 
 def _prepare(op: SamplingOperator, T: SupportSet, u, z0, view):
-    """(u, z, view, apply, normal): checked u, a copy of z0, Phi_T and its products."""
+    """(u, z, view, apply, normal): a checked copy of u, a copy of z0, Phi_T and its products."""
     size = T.indices.size
     if size < 1:
         raise ValueError("support must be nonempty")
-    u = np.asarray(u)
+    u = np.array(u)  # the solve's own samples, whatever the caller later does to its array
     if u.size != op.m:
         raise ValueError(f"sample vector length {u.size} != m = {op.m}")
     dtype = np.complex128 if (op.is_complex or u.dtype.kind == "c") else np.float64

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from . import prng
-from .signals import SupportSet, embed
+from .signals import SupportSet, check_int, embed
 
 _REAL = np.dtype(np.float64)
 
@@ -46,6 +46,14 @@ class DimensionMismatchError(ValueError):
 def _product(a: np.ndarray, b: np.ndarray):
     """``a @ b``, taken as ``a.dot(b)`` when both are float64 (see above)."""
     return a.dot(b) if a.dtype == _REAL and b.dtype == _REAL else a @ b
+
+
+def _sizes(m, n) -> tuple[int, int]:
+    """(m, N) as Python ints: both integers (not bools, not floats) with 0 < m <= N."""
+    n, m = int(check_int(n, "n")), int(check_int(m, "m"))
+    if not 0 < m <= n:
+        raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
+    return m, n
 
 
 def _check_length(vec, expected: int, what: str) -> np.ndarray:
@@ -167,7 +175,7 @@ class _SlicedView(RestrictedView):
 
     def __init__(self, op: SamplingOperator, T: SupportSet, sub: np.ndarray):
         self.op, self.T, self.sub, self.sub_h, self._gram_sub = op, T, sub, sub.conj().T, None
-        self._u = self._products = None
+        self._key = self._products = None
 
     def apply(self, z, embedded=None) -> np.ndarray:
         return _product(self.sub, _check_length(z, len(self.T), "coefficients"))
@@ -187,11 +195,11 @@ class _SlicedView(RestrictedView):
         return self._products[1]
 
     def rhs(self, u, proxy=None) -> np.ndarray:
-        if u is not self._u:  # keep Phi_T* u for samples that cannot change, as the loop's
-            rhs, u = self.adjoint(u), np.asarray(u)
-            if u.flags.writeable or not u.flags.owndata:
-                return rhs
-            self._u, self._rhs, rhs.flags.writeable = u, rhs, False
+        u = np.asarray(u)
+        key = (u.dtype, u.shape, u.tobytes())  # the samples themselves, not their flags
+        if key != self._key:  # keep Phi_T* u while the loop's samples hold
+            self._key, self._rhs = key, self.adjoint(u)
+            self._rhs.flags.writeable = False
         return self._rhs
 
     def columns(self) -> np.ndarray:
@@ -202,10 +210,7 @@ class IdentityOperator(SamplingOperator):
     """The N x N identity; useful for exact short-circuit tests."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be positive")
-        self.m = n
-        self.n = n
+        self.m, self.n = _sizes(n, n)
 
     def apply(self, x) -> np.ndarray:
         return _check_length(x, self.n, "signal").copy()
@@ -272,8 +277,7 @@ class GaussianOperator(DenseOperator):
     """
 
     def __init__(self, m: int, n: int, seed: int):
-        if not 0 < m <= n:
-            raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
+        m, n = _sizes(m, n)
         entries = prng.normals(prng.check_seed(seed), m * n).reshape(m, n)
         entries /= math.sqrt(m)  # in place: Box-Muller output is finite and ours to keep
         entries.flags.writeable = False
@@ -297,8 +301,7 @@ class PartialFourierOperator(SamplingOperator):
     is_complex = True
 
     def __init__(self, m: int, n: int, seed: int | None = None, rows=None):
-        if not 0 < m <= n:
-            raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
+        m, n = _sizes(m, n)
         if n & (n - 1):
             raise ValueError(f"N must be a power of two, got {n}")
         drawn = rows is None
@@ -310,8 +313,8 @@ class PartialFourierOperator(SamplingOperator):
         rows = SupportSet.from_any(rows, n).indices  # refuses non-integers and rows outside [0, N)
         if rows.size != m or given != m:
             raise ValueError(f"row set has {given} entries, {rows.size} distinct; expected {m}")
-        self.m = int(m)
-        self.n = int(n)
+        self.m = m
+        self.n = n
         self.seed = int(seed) if drawn else None
         self.rows = rows
         indicator = np.zeros(self.n)

@@ -259,7 +259,7 @@ def _candidates(dev: np.ndarray, r: int, floor: float) -> np.ndarray:
     step = max(1, _CHUNK // max(n, 1))
     table = np.empty((0, 1), dtype=np.int64)  # position-major: row j holds index j of every prefix
     for k in range(r):
-        left, grown, dropped = r - 1 - k, [], 0
+        left, parents, children, dropped = r - 1 - k, [], [], 0
         testing &= k <= _SPECTRAL_DEPTH
         if testing:  # the leaves under a child at q that may go
             savings = below[left + 1] * np.array([math.comb(n - 1 - c, left) for c in range(n)], float)
@@ -272,10 +272,11 @@ def _candidates(dev: np.ndarray, r: int, floor: float) -> np.ndarray:
             if testing and savings[q].sum() > k * block.shape[1]:
                 keep = _may_exceed(dev, block.T, bounds[:, left + 1], left, floor)[rows, q]
                 rows, q, dropped = rows[keep], q[keep], dropped + keep.size - keep.sum()
-            grown.append(np.empty((k + 1, rows.size), dtype=np.int64))
-            np.take(block, rows, axis=1, out=grown[-1][:k], mode="clip")
-            grown[-1][k] = q
-        table = grown[0] if len(grown) == 1 else np.concatenate(grown, axis=1)
+            parents.append(rows + lo)
+            children.append(q)
+        grown = np.empty((k + 1, sum(c.size for c in children)), dtype=np.int64)  # one write a level
+        np.take(table, np.concatenate(parents), axis=1, out=grown[:k], mode="clip")
+        grown[k], table = np.concatenate(children), grown
         testing &= k == 0 or dropped > 0  # a level that drops nothing ends the tests
     return table.T
 
@@ -319,7 +320,10 @@ def rip_estimate(
         # the most coupled indices first, so the bounds on completions past q fall fastest
         order = np.argsort(-np.sum(np.abs(dev) ** 2, axis=1), kind="stable")
         kept = _candidates(dev[np.ix_(order, order)], r, worst - 1e-9 * max(1.0, worst))
-        delta = max(worst, _max_deviation_over(gram, np.sort(order[kept], axis=1)))
+        for position in kept.T:  # mapped back and sorted in place: no copy of the table
+            position[...] = order[position]
+        kept.sort(axis=1)
+        delta = max(worst, _max_deviation_over(gram, kept))
         return RipEstimate(r, delta, delta, "exhaustive")
     if method == "monte_carlo":
         prng.check_seed(seed)

@@ -27,21 +27,21 @@ from .operators import (
 
 SIGNAL_MAGIC = b"CSK1"
 MATRIX_MAGIC = b"CSKM"
-_KIND_REAL = 0
-_KIND_COMPLEX = 1
+# CSK1 scalar kinds: code -> (name, is complex, little-endian payload dtype, dtype read back)
+_KINDS = {0: ("real", False, "<f8", np.float64), 1: ("complex", True, "<c16", np.complex128)}
 
 
 def write_signal(path, x) -> None:
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("signals are 1-D")
-    complex_kind = np.iscomplexobj(x)
+    kind = next(code for code, entry in _KINDS.items() if entry[1] == np.iscomplexobj(x))
     with open(path, "wb") as fh:
         fh.write(SIGNAL_MAGIC)
         fh.write(struct.pack("<I", x.size))
-        fh.write(struct.pack("<B", _KIND_COMPLEX if complex_kind else _KIND_REAL))
+        fh.write(struct.pack("<B", kind))
         # a little-endian complex128 is its (re, im) pair of little-endian f8
-        fh.write(x.astype("<c16" if complex_kind else "<f8").tobytes())
+        fh.write(x.astype(_KINDS[kind][2]).tobytes())
 
 
 def read_signal(path) -> np.ndarray:
@@ -50,16 +50,13 @@ def read_signal(path) -> np.ndarray:
         raise ValueError(f"bad signal magic {raw[:4]!r}")
     (n,) = struct.unpack("<I", raw[4:8])
     (kind,) = struct.unpack("<B", raw[8:9])
+    if kind not in _KINDS:
+        raise ValueError(f"unknown scalar kind {kind}")
+    name, _, payload_dtype, dtype = _KINDS[kind]
     payload = raw[9:]
-    if kind == _KIND_REAL:
-        if len(payload) != 8 * n:
-            raise ValueError("truncated real signal payload")
-        return np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if kind == _KIND_COMPLEX:
-        if len(payload) != 16 * n:
-            raise ValueError("truncated complex signal payload")
-        return np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    raise ValueError(f"unknown scalar kind {kind}")
+    if len(payload) != np.dtype(payload_dtype).itemsize * n:
+        raise ValueError(f"truncated {name} signal payload")
+    return np.frombuffer(payload, dtype=payload_dtype).astype(dtype)
 
 
 def write_matrix(path, matrix) -> None:

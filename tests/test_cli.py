@@ -448,6 +448,23 @@ class TestBenchCommand:
             "proxy", "identify", "merge", "estimate", "prune", "update", "total",
         ]
 
+    def test_json_output_is_the_per_step_medians(self, tmp_path, capsys):
+        cfg = {
+            "version": "config_v1",
+            "master_seed": 6,
+            "bench": {"s": 4, "iterations": 2, "scenarios": [
+                {"operator": {"kind": "gaussian", "m": 32, "n": 64, "seed": 1}, "label": "g"}]},
+        }
+        path = write_config(tmp_path, cfg)
+        code = main(["bench", "--config", str(path), "--out", str(tmp_path), "--json"])
+        assert code == EXIT_OK
+        medians = json.loads(capsys.readouterr().out)
+        assert list(medians) == ["g"]
+        steps = ["proxy", "identify", "merge", "estimate", "prune", "update", "total"]
+        assert list(medians["g"]) == steps
+        assert all(v >= 0.0 for v in medians["g"].values())
+        assert (tmp_path / "bench.csv").exists()
+
     def test_missing_bench_section(self, tmp_path):
         path = write_config(tmp_path, {"version": "config_v1"})
         assert main(["bench", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -480,6 +497,19 @@ class TestGenSignalCommand:
         assert (tmp_path / "a" / "signal.csk1").read_bytes() == (
             tmp_path / "b" / "signal.csk1"
         ).read_bytes()
+
+    def test_json_output_states_length_and_norm(self, tmp_path, capsys):
+        cfg = {
+            "version": "config_v1",
+            "master_seed": 8,
+            "signal": {"kind": "sparse", "n": 32, "s": 4, "law": "flat"},
+        }
+        path = write_config(tmp_path, cfg)
+        code = main(["gen-signal", "--config", str(path), "--out", str(tmp_path), "--json"])
+        assert code == EXIT_OK
+        stated = json.loads(capsys.readouterr().out)
+        signal = read_signal(tmp_path / "signal.csk1")
+        assert stated == {"n": 32, "l2": float(np.linalg.norm(signal))} == {"n": 32, "l2": 2.0}
 
 
 class TestLogging:

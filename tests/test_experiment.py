@@ -12,6 +12,7 @@ from cosamp.cli import EXIT_SOLVER, main
 from cosamp.experiment import (
     ConfigError,
     build_noise,
+    cell_config,
     load_config,
     parse_recovery,
     run_sweep,
@@ -173,7 +174,7 @@ class TestSweep:
         assert len(results) == 1
         only = results[0]
         assert only.trials == 2
-        single = run_trial(cfg, cell=results[0].cell, cell_index=0, trial_index=0)
+        single = run_trial(cell_config(cfg, results[0].cell), cell_index=0, trial_index=0)
         assert only.median_final_error <= max(10 * single.relative_error, 1e-6) or (
             only.success_rate in (0.0, 0.5, 1.0)
         )
@@ -295,6 +296,55 @@ class TestSweep:
         assert lines[0] == "cell_index,m,n,s,noise_norm,trials,success_rate,median_iterations,median_final_error"
         assert len(lines) == 2
         assert "e" in lines[1]  # %.12e formatting
+
+
+class TestCellConfig:
+    """A sweep cell is a config: ``cell_config`` sets the cell's operator.m, signal.s,
+    recovery.s and noise.norm, and ``run_trial`` of it is that trial of the sweep."""
+
+    def test_every_trial_of_a_two_by_two_sweep_is_run_trial_of_its_cell_config(
+        self, monkeypatch
+    ):
+        cfg = base_config(noise={"norm": 0.01, "seed": 5},
+                          sweep={"m": [16, 24], "noise_norm": [0.0, 0.02]}, trials=2)
+        swept = {}
+        real_trial = experiment.run_trial
+
+        def recording(trial_cfg, *, cell_index, trial_index, **kwargs):
+            outcome = real_trial(trial_cfg, cell_index=cell_index, trial_index=trial_index,
+                                 **kwargs)
+            swept[cell_index, trial_index] = outcome
+            return outcome
+
+        monkeypatch.setattr(experiment, "run_trial", recording)
+        results = run_sweep(cfg, jobs=1)
+        assert len(results) == 4 and len(swept) == 8
+        for cell in sweep_cells(cfg):
+            for t in range(2):
+                alone = real_trial(cell_config(cfg, cell), cell_index=cell["cell_index"],
+                                   trial_index=t)
+                there = swept[cell["cell_index"], t]
+                assert alone.relative_error == there.relative_error
+                assert alone.report.iterations_run == there.report.iterations_run
+                assert alone.success == there.success
+                assert alone.noise_norm == pytest.approx(cell["noise_norm"], abs=1e-15)
+
+    def test_the_cell_sets_four_fields_and_leaves_the_rest(self):
+        cfg = base_config(noise={"norm": 0.01, "seed": 5})
+        cell = {"cell_index": 3, "m": 24, "s": 2, "noise_norm": 0.5}
+        got = cell_config(cfg, cell)
+        assert got["operator"] == {**cfg["operator"], "m": 24}
+        assert got["signal"] == {**cfg["signal"], "s": 2}
+        assert got["recovery"] == {**cfg["recovery"], "s": 2}
+        assert got["noise"] == {"norm": 0.5, "seed": 5}
+        changed = ("operator", "signal", "recovery", "noise")
+        assert {k: v for k, v in got.items() if k not in changed} == \
+            {k: v for k, v in cfg.items() if k not in changed}
+        assert cfg["operator"]["m"] == 16 and cfg["noise"] == {"norm": 0.01, "seed": 5}
+
+    def test_a_noiseless_config_gets_the_cell_norm(self):
+        got = cell_config(base_config(), {"cell_index": 0, "m": 16, "s": 3, "noise_norm": 0.0})
+        assert got["noise"] == {"norm": 0.0}
 
 
 class TestBench:

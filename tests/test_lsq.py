@@ -319,6 +319,32 @@ class TestResidualOnRead:
         assert result.residual_samples_norm == np.linalg.norm(
             u - op.apply_sub(T, result.coefficients))
 
+    @pytest.mark.parametrize("solver", ["cg", "direct"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_read_only_samples_made_writable_again_do_not_reach_the_residual(self, case,
+                                                                            solver):
+        # a read-only u can have its flag flipped back and be written: the residual
+        # read afterwards is still that of the samples solved
+        _, make_op, make_u = case
+        op = make_op()
+        T = SupportSet(np.array([1, 5, 9, 30]), op.n)
+        u = as_samples(make_u(op.m))
+        result = solve(op, T, u, None, LsqConfig(solver=solver))
+        eager = np.linalg.norm(u - op.apply_sub(T, result.coefficients))
+        u.flags.writeable = True
+        u[:] = 0.0
+        assert result.residual_samples_norm == eager
+
+    def test_the_named_stale_residual_reads_that_of_the_samples_solved(self):
+        op = gaussian_operator(12, 40, seed=53)
+        T = SupportSet(np.array([3, 7, 20, 31]), 40)
+        u = as_samples(np.arange(12.0))
+        result = cg_solve(op, T, u)
+        solved = float(np.linalg.norm(u - op.apply_sub(T, result.coefficients)))
+        u.flags.writeable = True
+        u[:] = 0.0
+        assert result.residual_samples_norm == solved == pytest.approx(19.04, abs=0.01)
+
     def test_a_given_residual_is_returned(self):
         result = LsqResult(np.array([1.0, 2.0]), 3, 0.5)
         assert result.residual_samples_norm == 0.5

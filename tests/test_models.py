@@ -1,6 +1,7 @@
 """Signal generators, tail bounds, bands, and SNR metrics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,6 +225,17 @@ class TestBandProfile:
     def test_boundary_goes_to_inclusive_side(self):
         bp = band_profile(np.array([1.0, 1.0]))  # each entry exactly at 2^-1 ||x||^2
         assert list(bp.bands.keys()) == [1]
+
+    def test_an_entry_one_ulp_past_an_edge_is_placed_by_the_exact_comparison(self):
+        # |x_1|^2 sits just above 2^-5 ||x||^2, yet log2 of the ratio rounds to
+        # exactly -5: the log guess says band 5 and the exact comparison moves it to 4
+        x = np.array([1.0, 0.1796053020267749])
+        sq = x**2
+        total = float(sq.sum())
+        assert -math.log2(sq[1] / total) == 5.0
+        assert Fraction(float(sq[1])) * 2**5 > Fraction(total)
+        bp = band_profile(x)
+        assert {j: list(T) for j, T in bp.bands.items()} == {0: [0], 4: [1]}
 
     def test_profile_at_most_sparsity(self):
         for trial in range(10):

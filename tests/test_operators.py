@@ -570,3 +570,75 @@ class TestOneDefinition:
             gaussian_operator(4, 8, 3).matrix.tobytes()
         assert partial_fourier_operator(4, 16, np.int64(3)).rows.tolist() == \
             partial_fourier_operator(4, 16, 3).rows.tolist()
+
+
+class TestSizeReader:
+    """Identity, Gaussian and partial-Fourier sizes go through one reader: integers
+    (Python or numpy, not bools, floats or strings) with 0 < m <= N."""
+
+    BUILDERS = {
+        "identity n": lambda v: identity_operator(v),
+        "gaussian m": lambda v: gaussian_operator(v, 8, 1),
+        "gaussian n": lambda v: gaussian_operator(4, v, 1),
+        "partial fourier m": lambda v: partial_fourier_operator(v, 16, seed=1),
+        "partial fourier n": lambda v: partial_fourier_operator(4, v, seed=1),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None], ids=repr)
+    @pytest.mark.parametrize("where", BUILDERS)
+    def test_sizes_that_are_not_integers_are_refused(self, where, value):
+        # identity_operator(2.5) used to build an operator with m = n = 2.5, and the
+        # others failed inside numpy or on a bitwise & of a float
+        with pytest.raises(TypeError, match=r"^(m|n) must be an integer, got "):
+            self.BUILDERS[where](value)
+
+    @pytest.mark.parametrize("where", BUILDERS)
+    def test_sizes_out_of_order_are_refused(self, where):
+        with pytest.raises(ValueError, match=r"^need 0 < m <= n, got m="):
+            self.BUILDERS[where](0 if where.endswith("m") or where == "identity n" else 2)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64, np.uint8])
+    def test_numpy_integer_sizes_build_the_same_operator(self, kind):
+        ident = identity_operator(kind(4))
+        assert (ident.m, ident.n) == (4, 4) and type(ident.m) is int and type(ident.n) is int
+        gauss, want = gaussian_operator(kind(4), kind(8), 1), gaussian_operator(4, 8, 1)
+        assert gauss.matrix.tobytes() == want.matrix.tobytes()
+        assert (type(gauss.m), type(gauss.n)) == (int, int)
+        fourier, want = partial_fourier_operator(kind(4), kind(16), seed=1), \
+            partial_fourier_operator(4, 16, seed=1)
+        assert fourier.rows.tobytes() == want.rows.tobytes()
+        assert fourier.gram_kernel.tobytes() == want.gram_kernel.tobytes()
+        assert (fourier.m, fourier.n) == (4, 16) and type(fourier.m) is int
+
+
+class TestKeptRhs:
+    """The dense view keeps Phi_T* u keyed on u's dtype, shape and bytes, so no
+    change to u, however made, returns the product of other samples."""
+
+    def setup_method(self):
+        self.op = gaussian_operator(12, 40, seed=53)
+        self.T = SupportSet(np.array([3, 7, 20, 31]), 40)
+        self.view = self.op.restricted(self.T)
+
+    def test_samples_written_after_their_flag_is_flipped_get_a_fresh_product(self):
+        u = as_samples(np.arange(12.0))
+        kept = self.view.rhs(u)
+        assert self.view.rhs(u) is kept
+        u.flags.writeable = True
+        u[:] = 100.0
+        assert np.array_equal(self.view.rhs(u), self.op.adjoint_sub(self.T, u))
+        assert not np.array_equal(self.view.rhs(u), kept)
+
+    def test_the_key_holds_the_dtype_and_the_shape(self):
+        u = as_samples(np.arange(12.0))
+        kept = self.view.rhs(u)
+        as_ints = u.view(np.int64)  # the same bytes read as integers
+        assert np.array_equal(self.view.rhs(as_ints), self.op.adjoint_sub(self.T, as_ints))
+        assert not np.array_equal(self.view.rhs(as_ints), kept)
+        with pytest.raises(DimensionMismatchError):
+            self.view.rhs(u.reshape(3, 4))
+
+    def test_equal_samples_in_a_new_array_reuse_the_product(self):
+        u = as_samples(np.arange(12.0))
+        kept = self.view.rhs(u)
+        assert self.view.rhs(np.arange(12.0)) is kept

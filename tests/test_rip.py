@@ -562,3 +562,28 @@ class TestBoundedGathers:
         # exhaustive delta_6 solves at most 50,000 supports per batch, as before,
         # and Monte Carlo delta_8's 10,000 supports stay one batch
         assert rip._GATHER // 6**2 == 50_000 and rip._GATHER // 8**2 >= 10_000
+
+
+class TestNearNTables:
+    """Near r = N the support tables dominate an exhaustive estimate.  ``_candidates``
+    writes each level once at its size, from the previous level's table and the
+    parent and child indices, so it peaks near two final tables (it held three:
+    the previous level, the grown blocks and their concatenation); ``rip_estimate``
+    maps and sorts the kept table in place."""
+
+    def test_candidates_peak_near_two_final_tables(self):
+        dev = rip._hermitian_deviation(rip._full_gram(gaussian_operator(20, 24, seed=77)))
+        tracemalloc.start()
+        try:
+            table = rip._candidates(dev, 19, 0.0)  # all C(24, 19) = 42,504 supports
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (math.comb(24, 19), 19)
+        assert peak <= 2.25 * table.nbytes
+
+    def test_near_n_delta_keeps_its_bits(self):
+        # the table mapped back through the order and sorted in place gives the
+        # same supports, so the same maximum, as the copies it replaces
+        op = gaussian_operator(16, 20, seed=77)
+        assert rip_estimate(op, 16).delta_exact == unpruned_delta(op, 16)

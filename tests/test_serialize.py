@@ -68,6 +68,18 @@ class TestSignalFormat:
         assert raw[8] == 0  # real scalar kind
         assert len(raw) == 9 + 8
 
+    @pytest.mark.parametrize("x, kind, payload", [
+        (np.array([1.0, -2.5]), 0, b"\x00" * 6 + b"\xf0\x3f" + b"\x00" * 6 + b"\x04\xc0"),
+        (np.array([1.0 - 2.5j]), 1, b"\x00" * 6 + b"\xf0\x3f" + b"\x00" * 6 + b"\x04\xc0"),
+        (np.array([3], dtype=np.int32), 0, b"\x00" * 6 + b"\x08\x40"),
+    ], ids=["real", "complex", "int32 read as real"])
+    def test_bytes_written_per_scalar_kind(self, tmp_path, x, kind, payload):
+        # CSK1 is magic, u32 length, u8 kind, then little-endian f8 (re, im) values
+        path = tmp_path / "x.csk1"
+        write_signal(path, x)
+        assert path.read_bytes() == b"CSK1" + x.size.to_bytes(4, "little") + bytes([kind]) + payload
+        assert read_signal(path).tobytes() == x.astype(read_signal(path).dtype).tobytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.csk1"
         path.write_bytes(b"XXXX" + bytes(16))

@@ -163,6 +163,9 @@ class TestNorms:
     def test_l0_counts_exact_nonzeros(self):
         assert norms(np.array([0.0, 1e-300, -2.0])).l0 == 2
 
+    def test_empty_vector(self):
+        assert norms(np.array([])) == (0.0, 0.0, 0.0, 0)
+
 
 class TestValidators:
     def test_rejects_nan(self):
@@ -204,6 +207,11 @@ class TestRealComplexAgreement:
 
 
 class TestSupportSet:
+    def test_equality_with_anything_else_is_false(self):
+        T = SupportSet([1, 2], 4)
+        assert T != [1, 2] and T != (1, 2) and not T == "T"
+        assert T == SupportSet([1, 2], 4) and T != SupportSet([1, 2], 5)
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             SupportSet(np.array([1, 1]), 4)
