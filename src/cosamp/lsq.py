@@ -15,9 +15,9 @@ closed form and the caller passes its ``proxy`` Phi* u; the residual
 divergence flag needs it.  The direct solver is the exact solve: it forms
 and factors the Gram matrix; ``final_polish`` and ``solver="direct"`` run it.
 
-Lengths are checked where data enters a view, not on each internal
-product: each solve checks the support, u and the warm start once, then takes
-the view's unchecked ``products`` and its inner product for its working dtype.
+Lengths are checked where data enters a view, not on each internal product:
+each solve checks the support, u, the warm start and a given proxy once, then
+takes the view's unchecked ``products`` and its inner product for its working dtype.
 
 When ||Phi_T* Phi_T - I|| < 1, Richardson contracts by that norm per
 iteration; three warm-started iterations suffice for the recovery loop's
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import _REAL, SamplingOperator
+from .operators import _REAL, SamplingOperator, _check_length
 from .signals import SupportSet, check_int
 
 _DIVERGENCE_FACTOR = 10.0
@@ -86,20 +86,19 @@ def _result(apply, u: np.ndarray, z, iterations) -> LsqResult:
     return LsqResult(z, iterations, lambda: float(np.linalg.norm(u - apply(z))))
 
 
-def _prepare(op: SamplingOperator, T: SupportSet, u, z0, view):
-    """(u, z, view, apply, normal): a checked copy of u, a copy of z0, Phi_T and its products."""
+def _prepare(op: SamplingOperator, T: SupportSet, u, z0, view, proxy):
+    """(u, z, view, rhs, apply, normal): checked copies of u and z0, Phi_T, Phi_T* u and
+    the products; u, z0 and a given proxy Phi* u must each be 1-D of length m, |T| and N."""
     size = T.indices.size
     if size < 1:
         raise ValueError("support must be nonempty")
-    u = np.array(u)  # the solve's own samples, whatever the caller later does to its array
-    if u.size != op.m:
-        raise ValueError(f"sample vector length {u.size} != m = {op.m}")
+    u = _check_length(np.array(u), op.m, "sample vector")  # the solve's own copy
     dtype = np.complex128 if (op.is_complex or u.dtype.kind == "c") else np.float64
-    z = np.zeros(size, dtype=dtype) if z0 is None else np.array(z0, dtype=dtype)
-    if z.size != size:
-        raise ValueError(f"warm start length {z.size} != |T| = {size}")
+    z = np.zeros(size, dtype) if z0 is None else np.array(z0, dtype)
+    _check_length(z, size, "warm start")
+    proxy = None if proxy is None else _check_length(proxy, op.n, "proxy")
     view = op.restricted(T) if view is None else view
-    return (u, z, view, *view.products(z.dtype))
+    return (u, z, view, view.rhs(u, proxy), *view.products(z.dtype))
 
 
 def richardson_solve(
@@ -111,8 +110,7 @@ def richardson_solve(
     error: if the sample-space residual norm grows by 10x over the run the
     result is flagged, and the caller decides what to do.
     """
-    u, z, view, apply, normal = _prepare(op, T, u, z0, view)
-    atu = view.rhs(u, proxy)
+    u, z, view, atu, apply, normal = _prepare(op, T, u, z0, view, proxy)
     initial_residual = float(np.linalg.norm(u - apply(z)))
     for _ in range(iterations):
         z = atu - normal(z) + z
@@ -130,9 +128,9 @@ def cg_solve(
     docstring).  Stops early on a zero residual (e.g. seeded with the exact solution);
     raises ``LinAlgError`` on a curvature d* Phi_T* Phi_T d <= 0 at a nonzero residual.
     """
-    u, z, view, apply, normal = _prepare(op, T, u, z0, view)
+    u, z, view, atu, apply, normal = _prepare(op, T, u, z0, view, proxy)
     inner = np.ndarray.dot if z.dtype == _REAL else np.vdot  # <a, b>: ddot for real vectors
-    resid = direction = view.rhs(u, proxy) - normal(z)  # neither is written in place
+    resid = direction = atu - normal(z)  # neither is written in place
     rho = float(inner(resid, resid).real)
     used = 0
     for _ in range(iterations):
@@ -161,12 +159,12 @@ def direct_solve(op: SamplingOperator, T: SupportSet, u, proxy=None, view=None) 
     ``LsqConfig(solver="direct")`` run it.  Raises :class:`RankDeficiencyError`
     when the smallest Gram eigenvalue falls at or below 1e-12.
     """
-    u, _, view, apply, _ = _prepare(op, T, u, None, view)
+    u, _, view, atu, apply, _ = _prepare(op, T, u, None, view, proxy)
     gram = view.gram()
     smallest = float(np.linalg.eigvalsh(gram)[0])
     if smallest <= 1e-12:
         raise RankDeficiencyError(smallest)
-    z = np.linalg.solve(gram, view.rhs(u, proxy))
+    z = np.linalg.solve(gram, atu)
     return _result(apply, u, z, 1)
 
 

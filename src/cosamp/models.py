@@ -177,31 +177,21 @@ class BandProfile:
 
 
 def band_profile(x) -> BandProfile:
-    x = np.asarray(x)
-    sq = np.abs(x) ** 2
-    total = float(sq.sum())
-    if total == 0.0:
-        raise ValueError("band profile is undefined for the zero signal")
-    nonzero = np.flatnonzero(sq > 0)
-    bands: dict[int, list[int]] = {}
-    for i in nonzero:
-        j = _band_index(float(sq[i]), total)
-        bands.setdefault(j, []).append(int(i))
-    packed = {
-        j: SupportSet(np.array(sorted(members), dtype=np.int64), x.size)
-        for j, members in sorted(bands.items())
-    }
+    """Bands by binary exponent, exact at every finite scale: with |x_i| = m_i 2^e_i,
+    E = max e_i and T = fsum (|x_i| 2^-E)^2 (m_i^2 and T rounded once each), entry i
+    lies in band e(T) - e(m_i^2) - [mant(T) < mant(m_i^2)] + 2 (E - e_i) by ``frexp``."""
+    mags = np.abs(np.asarray(x))
+    peak = float(mags.max(initial=0.0))
+    if not 0.0 < peak < math.inf:
+        raise ValueError(f"band profile needs a nonzero, finite signal, got max |x_i| = {peak}")
+    nonzero = np.flatnonzero(mags)
+    mant, exp = np.frexp(mags[nonzero])
+    top = exp.max()
+    total, total_exp = np.frexp(math.fsum(np.ldexp(mant, exp - top) ** 2))
+    sq, sq_exp = np.frexp(mant**2)
+    band = total_exp - sq_exp - (total < sq) + 2 * (top - exp)
+    packed = {int(j): SupportSet(nonzero[band == j], mags.size) for j in np.unique(band)}
     return BandProfile(packed, len(packed))
-
-
-def _band_index(sq_value: float, total: float) -> int:
-    # initial guess from logs, then exact ldexp comparisons settle boundaries
-    j = max(int(math.floor(-math.log2(sq_value / total))), 0)
-    while sq_value <= math.ldexp(total, -(j + 1)):
-        j += 1
-    while j > 0 and sq_value > math.ldexp(total, -j):
-        j -= 1
-    return j
 
 
 def iteration_bound(x, s: int) -> int:

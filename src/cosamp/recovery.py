@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .lsq import LsqConfig, LsqResult, solve
-from .operators import RestrictedView, SamplingOperator
+from .operators import RestrictedView, SamplingOperator, _check_length
 from .signals import (SupportSet, _l2, _neg_abs, _select, as_samples, best_s_approx, check_int,
                       embed, restrict, support_of)  # perfbench patches best_s_approx, embed here
 
@@ -375,9 +375,9 @@ def recover(
     ``u`` must be a finite length-m sample vector (``ValueError`` otherwise);
     an estimate with non-finite coefficients raises :class:`SolverFailure`.
 
-    When ``truth`` is supplied, per-iteration errors are recorded in the
-    trace; with ``config.record_diagnostics`` the per-step bound audit runs too
-    (requires truth, and uses ``noise`` for the noise-energy terms).
+    When ``truth`` (length N) is supplied, per-iteration errors are recorded in
+    the trace; with ``config.record_diagnostics`` the per-step bound audit runs
+    too (requires truth, and uses ``noise``, length m, for the noise-energy terms).
     """
     return _drive(op, u, config, truth, noise, _merge, _estimate)
 
@@ -387,9 +387,9 @@ def _drive(
 ) -> RecoveryReport:
     """The recovery loop behind :func:`recover` and the loop variants.
 
-    It validates ``u``, applies the halting rules, times every step, and
-    records the trace, the diverged iterations and the audits; ``merge`` and
-    ``estimate`` are the variant's own steps, as in :func:`_iterate`.
+    It validates ``u``, ``truth`` and ``noise``, applies the halting rules, times
+    every step, and records the trace, the diverged iterations and the audits;
+    ``merge`` and ``estimate`` are the variant's own steps, as in :func:`_iterate`.
     """
     u = as_samples(u, op.m)
     if 4 * config.s > op.n:
@@ -401,7 +401,8 @@ def _drive(
     max_iters = config.effective_max_iterations()
 
     state = initial_state(op, u, config.s)
-    x = None if truth is None else np.asarray(truth)
+    x = None if truth is None else _check_length(truth, op.n, "truth")
+    noise = None if noise is None else _check_length(noise, op.m, "noise")
     trace: list[TraceRow] = []
     audits: list[tuple[StepBound, ...]] = []
     diverged: list[int] = []

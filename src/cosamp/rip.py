@@ -139,12 +139,15 @@ def _max_deviation_over(gram: np.ndarray, supports: np.ndarray) -> float:
         probes = np.arange(bounds.size)
     worst = float(np.max(_deviations(gram, supports[probes]), initial=0.0))
     floor = worst - 1e-9 * max(1.0, worst)
-    pending = bounds > floor
-    pending[probes] = False
-    rest = supports[pending]
-    if supports.shape[1] <= _SPECTRAL_DEPTH:
-        rest = rest[_schatten4_bounds(_hermitian_deviation(gram), rest) > floor]
-    return float(np.max(_deviations(gram, rest), initial=worst))
+    bounds[probes] = -np.inf  # solved already
+    rows, step = np.flatnonzero(bounds > floor), max(1, _GATHER // supports.shape[1] ** 2)
+    dev = _hermitian_deviation(gram) if supports.shape[1] <= _SPECTRAL_DEPTH else None
+    for start in range(0, rows.size, step):  # a batch of pending rows at a time, not a copy of all
+        rest = supports[rows[start : start + step]]
+        if dev is not None:
+            rest = rest[_schatten4_bounds(dev, rest) > floor]
+        worst = float(np.max(_deviations(gram, rest), initial=worst))
+    return worst
 
 
 def _greedy_worst(gram: np.ndarray, dev: np.ndarray, r: int) -> float:

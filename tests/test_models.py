@@ -1,10 +1,13 @@
 """Signal generators, tail bounds, bands, and SNR metrics."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import gated_operator
 from cosamp import prng
@@ -262,6 +265,108 @@ class TestBandProfile:
             x = prng.normals(prng.mix_seed(66, trial), 20)
             got = {j: set(T) for j, T in band_profile(x).bands.items()}
             assert got == bands_by_direct_evaluation(x)
+
+
+def _floor_log2(q: Fraction) -> int:
+    k = q.numerator.bit_length() - q.denominator.bit_length()  # 2^(k-1) < q < 2^(k+1)
+    return k if q >= Fraction(2) ** k else k - 1
+
+
+def _round53(q: Fraction) -> Fraction:
+    """q > 0 rounded to 53 significant bits, ties to even, at any exponent."""
+    ulp = Fraction(2) ** (_floor_log2(q) - 52)
+    return round(q / ulp) * ulp
+
+
+def bands_in_rationals(x):
+    """The defining inequalities in exact rationals, on |x_i|^2 and ||x||^2 rounded
+    once each to 53 significant bits, as double precision rounds them, but with no
+    exponent limit.  No ldexp: band j is floor(log2(||x||^2 / |x_i|^2))."""
+    squares = {i: _round53(Fraction(float(a)) ** 2) for i, a in enumerate(np.abs(x)) if a}
+    total = _round53(sum(squares.values()))
+    out = {}
+    for i, sq in squares.items():
+        out.setdefault(_floor_log2(total / sq), []).append(i)
+    return out
+
+
+def _as_lists(profile):
+    return {j: list(T) for j, T in profile.bands.items()}
+
+
+_dyadic = st.builds(math.ldexp, st.integers(-8, 8), st.integers(-1080, 1015))  # edges, subnormals
+_real = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # spreads to 10^+-308, subnormals included
+    st.floats(-2.3e-308, 2.3e-308),
+    _dyadic,
+)
+_complex = st.one_of(
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+    st.builds(complex, _dyadic, _dyadic),
+)
+_vectors = st.one_of(
+    st.lists(_real, min_size=1, max_size=12),
+    st.lists(_complex, min_size=1, max_size=12),
+).map(np.array)
+# mantissas times 2^e, |e| <= 320: 2^+-700 keeps them normal, and the squares span 2^1280
+_scalable = st.lists(
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-320, 320))
+    | st.just(0.0),
+    min_size=1, max_size=12,
+).map(np.array)
+
+
+class TestBandsByExponent:
+    """Bands from binary exponents against an exact rational reference, at every scale."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_vectors)
+    def test_equals_the_rational_reference(self, x):
+        assume(np.any(x))
+        assert _as_lists(band_profile(x)) == bands_in_rationals(x)
+
+    @pytest.mark.parametrize(
+        "x, bands",
+        [
+            ([1e150, 1e-160], {0: [0], 2059: [1]}),  # the ratio of squares underflows
+            ([2.0**-537] * 3, {1: [0, 1, 2]}),  # each square 2^-1074, the total subnormal
+            ([1e200, 1.0], {0: [0], 1328: [1]}),  # the square overflows
+            ([1.0, 1e-170], {0: [0], 1129: [1]}),  # the small square underflows to zero
+        ],
+        ids=["ratio-underflow", "subnormal-total", "overflow", "square-underflow"],
+    )
+    def test_squares_beyond_the_float_range(self, x, bands):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = band_profile(np.array(x))
+        assert _as_lists(profile) == bands == bands_in_rationals(np.array(x))
+        assert profile.profile == len(bands)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scalable, st.integers(1, 12))
+    def test_scaling_by_a_power_of_two_moves_no_entry(self, x, s):
+        assume(np.any(x))
+        for j in (300, -300, 700, -700):
+            scaled = np.ldexp(x, j)
+            assert np.all(np.isfinite(scaled)) and np.array_equal(np.ldexp(scaled, -j), x)
+            assert _as_lists(band_profile(scaled)) == _as_lists(band_profile(x))
+            assert iteration_bound(scaled, s) == iteration_bound(x, s)
+
+    def test_the_order_of_the_entries_moves_no_entry(self):
+        # |x_1|^2 is 20 to the rounding of hypot, a quarter of ||x||^2 = 80: a total
+        # summed in storage order could land on either side of the edge
+        x = np.array([-5.0, 4 + 2j, 3.0, -1 - 5j])
+        order = np.array([0, 2, 3, 1])
+        reordered = band_profile(x[order]).bands
+        moved = {j: sorted(order[T.indices].tolist()) for j, T in reordered.items()}
+        assert moved == _as_lists(band_profile(x)) == bands_in_rationals(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0),
+                                     complex(1.0, np.inf)], ids=["nan", "inf", "-inf",
+                                                                 "complex-nan", "complex-inf"])
+    def test_a_non_finite_entry_is_refused(self, bad):
+        with pytest.raises(ValueError, match="^band profile needs a nonzero, finite signal"):
+            band_profile(np.array([1.0, bad, 0.5]))
 
 
 class TestIterationBound:

@@ -2,8 +2,9 @@
 
 Each row names the call, the exception type and the start of its message.
 ``tools/line_coverage.py`` lists the function-body statements a test run never
-executes; these rows are its ``raise`` statements.  The operator size checks
-live in ``test_operators.py::TestSizeReader``.
+executes; these rows are its ``raise`` statements, and the length reads of the
+solvers' and the recovery loop's vector inputs.  The operator size checks live in
+``test_operators.py::TestSizeReader``.
 """
 
 import re
@@ -12,13 +13,16 @@ import numpy as np
 import pytest
 
 from cosamp import experiment, models, rip, serialize
+from cosamp.lsq import cg_solve
 from cosamp.operators import (
     DenseOperator,
+    DimensionMismatchError,
     PartialFourierOperator,
     SamplingOperator,
     gaussian_operator,
+    partial_fourier_operator,
 )
-from cosamp.recovery import FixedIterations, RecoveryConfig, check_halt
+from cosamp.recovery import FixedIterations, RecoveryConfig, check_halt, recover
 from cosamp.signals import SupportSet, as_signal, best_s_approx, embed, head_tail_l1_bound
 
 TINY = {
@@ -56,6 +60,19 @@ class Unknown(SamplingOperator):
     apply = adjoint = staticmethod(np.asarray)
 
 
+def _solve(**given):
+    """CG on a 16 x 64 partial Fourier operator and T = {1, 5, 9}, u = ones(16)
+    unless ``given`` replaces it, and z0 or a proxy Phi* u when given."""
+    return cg_solve(partial_fourier_operator(16, 64, seed=3), SupportSet([1, 5, 9], 64),
+                    **{"u": np.ones(16), **given})
+
+
+def _recover(**given):
+    """Three iterations on a 32 x 64 Gaussian operator, with a truth or noise when given."""
+    return recover(gaussian_operator(32, 64, seed=3), np.ones(32),
+                   RecoveryConfig(s=3, halting=FixedIterations(3)), **given)
+
+
 # (id, call of tmp_path, exception type, message start)
 REFUSALS = [
     # experiment
@@ -67,6 +84,28 @@ REFUSALS = [
      experiment.ConfigError, "sweep: axes must be nonempty"),
     ("null axis value", lambda d: experiment.sweep_cells({**TINY, "sweep": {"s": [2, None]}}),
      experiment.ConfigError, "sweep: axes need explicit values (m, s, noise_norm)"),
+    # lsq: u, z0 and a proxy are read as 1-D vectors of length m, |T| and N
+    ("u 2-D", lambda d: _solve(u=np.ones((16, 1)), proxy=np.ones(64)),
+     DimensionMismatchError, "sample vector must have length 16, got shape (16, 1)"),
+    ("u length", lambda d: _solve(u=np.ones(15)),
+     DimensionMismatchError, "sample vector must have length 16, got shape (15,)"),
+    ("z0 2-D", lambda d: _solve(z0=np.zeros((3, 1))),
+     DimensionMismatchError, "warm start must have length 3, got shape (3, 1)"),
+    ("z0 length", lambda d: _solve(z0=np.zeros(4)),
+     DimensionMismatchError, "warm start must have length 3, got shape (4,)"),
+    ("proxy 2-D", lambda d: _solve(proxy=np.ones((64, 1))),
+     DimensionMismatchError, "proxy must have length 64, got shape (64, 1)"),
+    ("proxy length", lambda d: _solve(proxy=np.ones(63)),
+     DimensionMismatchError, "proxy must have length 64, got shape (63,)"),
+    # recovery: truth and noise are read as 1-D vectors of length N and m
+    ("truth 2-D", lambda d: _recover(truth=np.zeros((64, 1))),
+     DimensionMismatchError, "truth must have length 64, got shape (64, 1)"),
+    ("truth length", lambda d: _recover(truth=np.array([0.0])),
+     DimensionMismatchError, "truth must have length 64, got shape (1,)"),
+    ("noise 2-D", lambda d: _recover(noise=np.zeros((32, 1))),
+     DimensionMismatchError, "noise must have length 32, got shape (32, 1)"),
+    ("noise length", lambda d: _recover(noise=np.zeros(31)),
+     DimensionMismatchError, "noise must have length 32, got shape (31,)"),
     # models
     ("compressible p", lambda d: models.CompressibleSpec(1.5, 1.0, 8, 1, 2),
      ValueError, "p must lie in (0, 1]"),

@@ -582,6 +582,19 @@ class TestNearNTables:
         assert table.shape == (math.comb(24, 19), 19)
         assert peak <= 2.25 * table.nbytes
 
+    def test_pending_rows_are_solved_a_batch_at_a_time_with_the_same_maximum(self, monkeypatch):
+        # with one probe nearly all 1,820 rows of C(16, 12) stay pending; batches of 16
+        # rows take them through the Schatten-4 filter and eigvalsh, with no copy of all
+        gram = rip._full_gram(gaussian_operator(12, 16, seed=77))
+        supports = np.array(list(combinations(range(16), 12)))
+        monkeypatch.setattr(rip, "_PROBE_COUNT", 1)
+        monkeypatch.setattr(rip, "_GATHER", 144 * 16)
+        batches, schatten4 = [], rip._schatten4_bounds
+        monkeypatch.setattr(rip, "_schatten4_bounds",
+                            lambda dev, rows: batches.append(len(rows)) or schatten4(dev, rows))
+        assert rip._max_deviation_over(gram, supports) == brute_force_max(gram, supports)
+        assert sum(batches) >= 200 and len(batches) >= 5 and max(batches) == 16
+
     def test_near_n_delta_keeps_its_bits(self):
         # the table mapped back through the order and sorted in place gives the
         # same supports, so the same maximum, as the copies it replaces
