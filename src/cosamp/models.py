@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prng
-from .operators import SamplingOperator
+from .operators import SamplingOperator, _check_length
 from .signals import SupportSet, best_s_approx, norms
 
 
@@ -155,12 +155,10 @@ def noise_fold(op: SamplingOperator, x, s: int, e=None) -> NoiseFold:
     """
     x = np.asarray(x)
     tail = x - best_s_approx(x, s)[0]
-    folded = op.apply(tail)
+    folded, e_norm = op.apply(tail), 0.0
     if e is not None:
-        folded = folded + np.asarray(e)
-        e_norm = float(np.linalg.norm(e))
-    else:
-        e_norm = 0.0
+        e = _check_length(e, op.m, "noise")
+        folded, e_norm = folded + e, float(np.linalg.norm(e))
     t = norms(tail)
     bound = 1.05 * (t.l2 + t.l1 / math.sqrt(s)) + e_norm
     return NoiseFold(folded, float(np.linalg.norm(folded)), bound)
@@ -179,13 +177,20 @@ class BandProfile:
 def band_profile(x) -> BandProfile:
     """Bands by binary exponent, exact at every finite scale: with |x_i| = m_i 2^e_i,
     E = max e_i and T = fsum (|x_i| 2^-E)^2 (m_i^2 and T rounded once each), entry i
-    lies in band e(T) - e(m_i^2) - [mant(T) < mant(m_i^2)] + 2 (E - e_i) by ``frexp``."""
-    mags = np.abs(np.asarray(x))
+    lies in band e(T) - e(m_i^2) - [mant(T) < mant(m_i^2)] + 2 (E - e_i) by ``frexp``.
+    A finite complex entry whose modulus passes the largest double is read as |x_i / 2|
+    with one added to e_i: halving is exact for its large part."""
+    x = np.asarray(x)
+    with np.errstate(over="ignore"):
+        mags = np.abs(x)
+    halved = np.isinf(mags) & np.isfinite(x)
+    mags[halved] = np.abs(x[halved] / 2)
     peak = float(mags.max(initial=0.0))
     if not 0.0 < peak < math.inf:
         raise ValueError(f"band profile needs a nonzero, finite signal, got max |x_i| = {peak}")
     nonzero = np.flatnonzero(mags)
     mant, exp = np.frexp(mags[nonzero])
+    exp += halved[nonzero]
     top = exp.max()
     total, total_exp = np.frexp(math.fsum(np.ldexp(mant, exp - top) ** 2))
     sq, sq_exp = np.frexp(mant**2)

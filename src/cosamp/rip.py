@@ -14,8 +14,8 @@ eigenproblem per support: its Frobenius and Schatten-4 norms bound it, and
 a support whose bound cannot beat the worst deviation already solved, less
 a margin far above rounding, is skipped; exhaustive mode also skips whole
 subtrees of supports sharing a prefix, by a Schur-complement bound on every
-completion.  Every value returned is one support's own ``eigvalsh``, so the
-maximum is the brute-force one bit for bit.
+completion (closed form on pairs, recursive past them).  Each value returned
+is one support's own ``eigvalsh``: the maximum is brute force, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import prng
 from .operators import SamplingOperator
 from .recovery import StepBound
-from .signals import SupportSet, norms, restrict, support_of
+from .signals import SupportSet, check_int, norms, restrict, support_of
 
 _CHUNK = 50_000
 _GATHER = 36 * _CHUNK  # entries in one batch of r x r gathers: _CHUNK supports of 6 x 6
@@ -163,52 +163,31 @@ def _greedy_worst(gram: np.ndarray, dev: np.ndarray, r: int) -> float:
     return float(np.max(_deviations(gram, np.sort(np.stack(supports, axis=1), axis=1))))
 
 
-def _extremes(dev: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper bounds on lambda_max(E_Q) and lambda_max(-E_Q) for each 2- or 3-set
-    row Q of E = ``dev``, from the closed-form roots of the characteristic
-    polynomial, widened by 1e-7 of the spectrum's scale to cover their rounding."""
-    diag = dev.diagonal().real[sets]
-    mean = diag.mean(axis=1)
-    diag -= mean[:, None]
-    if sets.shape[1] == 2:
-        radius = np.hypot(diag[:, 0], np.abs(dev[sets[:, 0], sets[:, 1]]))
-        high, low = radius, -radius
-    else:
-        x, y, z = (dev[sets[:, a], sets[:, b]] for a, b in ((0, 1), (0, 2), (1, 2)))
-        xx, yy, zz = np.abs(x) ** 2, np.abs(y) ** 2, np.abs(z) ** 2
-        radius = np.sqrt((np.sum(diag**2, axis=1) + 2.0 * (xx + yy + zz)) / 6.0)
-        det = np.prod(diag, axis=1) + 2.0 * np.real(x * z * y.conj())
-        det -= diag[:, 0] * zz + diag[:, 1] * yy + diag[:, 2] * xx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosine = np.clip(np.nan_to_num(det / (2.0 * radius**3)), -1.0, 1.0)
-        angle = np.arccos(cosine) / 3.0
-        high, low = 2.0 * radius * np.cos(angle), 2.0 * radius * np.cos(angle + 2.0 * np.pi / 3.0)
-    slack = 1e-7 * (radius + np.abs(mean))
-    return mean + high + slack, -(mean + low) + slack
-
-
 def _completion_bounds(dev: np.ndarray, r: int) -> np.ndarray:
     """bounds[0, t, q] >= lambda_max(E_Q) and bounds[1, t, q] >= lambda_max(-E_Q) for
     every t-set Q whose least index is q (E = ``dev``), -inf where there is none.
 
-    For t = 2, 3 (when r > t) these are the largest over the sets themselves.
-    Beyond, Q is {q} and a (t - 1)-set R past q, so lambda_max(s E_Q) is at
-    most the larger eigenvalue of [[s E_qq, b], [b, c]] with b^2 the t - 1
-    largest |E_qc'|^2 past q summed and c the bound for R."""
-    n = dev.shape[0]
+    For t = 2 these are the largest over the pairs {q, p}, p > q, themselves:
+    the eigenvalues of E_Q are mean +- radius, widened by 1e-7 of the
+    spectrum's scale to cover their rounding.  Beyond, Q is {q} and a
+    (t - 1)-set R past q, so lambda_max(s E_Q) is at most the larger
+    eigenvalue of [[s E_qq, b], [b, c]] with b^2 the t - 1 largest |E_qc'|^2
+    past q summed and c the bound for R."""
+    n, diagonal = dev.shape[0], dev.diagonal().real
     couplings = np.cumsum(-np.sort(-np.abs(np.triu(dev, 1)) ** 2, axis=1), axis=1)
     bounds = np.full((2, r + 1, n), -np.inf)
-    bounds[:, 1] = dev.diagonal().real, -dev.diagonal().real
-    for t in range(2, r + 1):
-        if t <= 3 and t < r:
-            sets = _candidates(dev, t, 0.0)
-            for side, extreme in enumerate(_extremes(dev, sets)):
-                np.maximum.at(bounds[side, t], sets[:, 0], extreme)
-            continue
+    bounds[:, 1] = diagonal, -diagonal
+    if r > 1:  # row q, column p of each n x n array is the pair {q, p}
+        mean = 0.5 * (diagonal[:, None] + diagonal)
+        radius = np.hypot(diagonal[:, None] - mean, np.abs(dev))
+        slack, past = 1e-7 * (radius + np.abs(mean)), np.triu(np.ones((n, n), bool), 1)
+        for side, sign in enumerate((1.0, -1.0)):
+            bounds[side, 2] = np.where(past, sign * mean + radius + slack, -np.inf).max(axis=1)
+    for t in range(3, r + 1):
         head = slice(0, n - t + 1)
-        for side, diagonal in enumerate((dev.diagonal().real, -dev.diagonal().real)):
+        for side, signed in enumerate((diagonal, -diagonal)):
             rest = np.maximum.accumulate(bounds[side, t - 1, :0:-1])[::-1][head]
-            a, b2 = diagonal[head], couplings[head, t - 2]
+            a, b2 = signed[head], couplings[head, t - 2]
             bounds[side, t, head] = 0.5 * (a + rest) + np.sqrt(0.25 * (a - rest) ** 2 + b2)
     return bounds
 
@@ -306,8 +285,10 @@ def rip_estimate(
     ``trials`` >= 1 supports, trial t's being
     ``sample_without_replacement(mix_seed(seed, t), N, r)``, all drawn by
     :func:`prng.sample_many`; its maximum is a certified lower bound on
-    delta_r.  The method, budget, trial count and seed are checked before the Gram.
+    delta_r.  r, budget and trials must be integers; method and seed are read before the Gram.
     """
+    for value, what in ((r, "r"), (budget, "budget"), (trials, "trials")):
+        check_int(value, what)
     if not 1 <= r <= op.n:
         raise ValueError(f"need 1 <= r <= N, got r={r}")
     if method == "exhaustive":

@@ -361,6 +361,26 @@ class TestBandsByExponent:
         moved = {j: sorted(order[T.indices].tolist()) for j, T in reordered.items()}
         assert moved == _as_lists(band_profile(x)) == bands_in_rationals(x)
 
+    @pytest.mark.parametrize(
+        "x, bands",
+        [
+            ([complex(1.5e308, 1.5e308), 1.0], {0: [0], 2048: [1]}),
+            ([1e-300, complex(-1.7e308, 1e308), 3j], {0: [1], 2045: [2], 4041: [0]}),
+            ([complex(1.3e308, 1.3e308)] * 3, {1: [0, 1, 2]}),
+            ([complex(1.5e308, 1.5e308), complex(2.0**-1074, 1e308)], {0: [0], 2: [1]}),
+        ],
+        ids=["one-entry", "spread", "all-entries", "subnormal-part"],
+    )
+    def test_a_finite_entry_whose_modulus_overflows_is_placed(self, x, bands):
+        # |x_i| passes the largest double; halving every entry is exact and moves no entry
+        x = np.array(x)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.abs(x)).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = band_profile(x)
+        assert _as_lists(profile) == bands == bands_in_rationals(x / 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0),
                                      complex(1.0, np.inf)], ids=["nan", "inf", "-inf",
                                                                  "complex-nan", "complex-inf"])

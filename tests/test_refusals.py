@@ -2,8 +2,9 @@
 
 Each row names the call, the exception type and the start of its message.
 ``tools/line_coverage.py`` lists the function-body statements a test run never
-executes; these rows are its ``raise`` statements, and the length reads of the
-solvers' and the recovery loop's vector inputs.  The operator size checks live in
+executes; these rows are its ``raise`` statements, the length reads of the
+solvers', the recovery loop's and the noise fold's vector inputs, and the integer
+reads of ``rip_estimate``'s counts.  The operator size checks live in
 ``test_operators.py::TestSizeReader``.
 """
 
@@ -121,6 +122,12 @@ REFUSALS = [
      ValueError, "s must be >= 1"),
     ("dynamic range of zero", lambda d: models.dynamic_range_iterations(np.zeros(4), 2),
      ValueError, "dynamic range is undefined for the zero signal"),
+    ("fold scalar noise", lambda d: models.noise_fold(gaussian_operator(8, 16, seed=1),
+                                                      np.ones(16), 2, [0.5]),
+     DimensionMismatchError, "noise must have length 8, got shape (1,)"),
+    ("fold 2-D noise", lambda d: models.noise_fold(gaussian_operator(8, 16, seed=1),
+                                                   np.ones(16), 2, np.zeros((8, 1))),
+     DimensionMismatchError, "noise must have length 8, got shape (8, 1)"),
     # operators
     ("dense 1-D", lambda d: DenseOperator(np.ones(4)), ValueError, "matrix must be 2-D"),
     ("dense non-finite", lambda d: DenseOperator(np.array([[1.0, np.nan]])),
@@ -138,6 +145,13 @@ REFUSALS = [
     # rip
     ("rip order", lambda d: rip.rip_estimate(gaussian_operator(4, 8, 1), 0),
      ValueError, "need 1 <= r <= N, got r=0"),
+    ("rip order bool", lambda d: rip.rip_estimate(gaussian_operator(4, 8, 1), True),
+     TypeError, "r must be an integer, got True"),
+    ("rip budget bool", lambda d: rip.rip_estimate(gaussian_operator(4, 8, 1), 2, budget=True),
+     TypeError, "budget must be an integer, got True"),
+    ("rip trials bool", lambda d: rip.rip_estimate(gaussian_operator(4, 8, 1), 2, "monte_carlo",
+                                                   trials=True),
+     TypeError, "trials must be an integer, got True"),
     # serialize
     ("signal 2-D", lambda d: serialize.write_signal(d / "s.csk1", np.ones((2, 2))),
      ValueError, "signals are 1-D"),

@@ -384,28 +384,35 @@ class TestPrefixDescent:
         [gaussian_operator(12, 16, seed=4), complex_operator(), gated_operator(12, seed=5)],
         ids=["gauss", "complex", "gated"],
     )
-    @pytest.mark.parametrize("t", [2, 3])
-    def test_closed_form_extremes_bound_eigvalsh_tightly(self, op, t):
+    def test_pair_bounds_are_the_largest_pair_extremes_from_each_index(self, op):
+        # the two-index bounds are closed form: at least the largest
+        # eigvalsh extreme over the pairs {q, p}, p > q, and within 1e-6 of its scale
         mat = op.materialize()
         dev = rip._hermitian_deviation(mat.conj().T @ mat)
-        sets = np.array(list(combinations(range(op.n), t)))
-        eigs = np.linalg.eigvalsh(dev[sets[:, :, None], sets[:, None, :]])
-        high, low = rip._extremes(dev, sets)
-        scale = np.abs(eigs).max(axis=1) + 1e-300
-        assert np.all(high >= eigs[:, -1]) and np.all(low >= -eigs[:, 0])
-        assert np.all(high - eigs[:, -1] <= 1e-6 * scale)
-        assert np.all(low + eigs[:, 0] <= 1e-6 * scale)
+        pairs = np.array(list(combinations(range(op.n), 2)))
+        eigs = np.linalg.eigvalsh(dev[pairs[:, :, None], pairs[:, None, :]])
+        high, low, scale = (np.full(op.n, -np.inf) for _ in range(3))
+        np.maximum.at(high, pairs[:, 0], eigs[:, -1])
+        np.maximum.at(low, pairs[:, 0], -eigs[:, 0])
+        np.maximum.at(scale, pairs[:, 0], np.abs(eigs).max(axis=1) + 1e-300)
+        bounds = rip._completion_bounds(dev, 3)[:, 2]
+        assert np.all(bounds[:, -1] == -np.inf)  # no pair starts at the last index
+        for bound, extreme in zip(bounds[:, :-1], (high[:-1], low[:-1])):
+            assert np.all(bound >= extreme)
+            assert np.all(bound - extreme <= 1e-6 * scale[:-1])
 
     @pytest.mark.parametrize(
         "op",
         [gaussian_operator(12, 16, seed=4), complex_operator(), gated_operator(12, seed=5)],
         ids=["gauss", "complex", "gated"],
     )
-    def test_completion_bounds_cover_every_set(self, op):
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_completion_bounds_cover_every_set(self, op, r):
+        # pairs by the closed form, three or more indices by the recursion
         mat = op.materialize()
         dev = rip._hermitian_deviation(mat.conj().T @ mat)
-        bounds = rip._completion_bounds(dev, 5)
-        for t in range(1, 6):
+        bounds = rip._completion_bounds(dev, r)
+        for t in range(1, r + 1):
             sets = np.array(list(combinations(range(op.n), t)))
             eigs = np.linalg.eigvalsh(dev[sets[:, :, None], sets[:, None, :]])
             assert np.all(bounds[0, t, sets[:, 0]] >= eigs[:, -1])
