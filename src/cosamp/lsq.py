@@ -1,12 +1,13 @@
 """Least-squares solvers for the estimation step.
 
 Every solver sees Phi_T through one view (see :class:`cosamp.operators.RestrictedView`):
-``op.restricted(T)`` made once per solve, or the caller's own view of T (``view=``),
-which also gives the residual.  Richardson's iteration and conjugate gradient
-need the normal product Phi_T* Phi_T z once per iteration.  When the operator offers a closed-form Gram
-(``gram_sub``, e.g. partial Fourier) that product is a |T| x |T|
-matrix-vector multiply; otherwise it is one multiply each with Phi_T and
-Phi_T*, so the solvers compose with any matrix-free operator.  A dense
+``op.restricted(T)`` made once per solve, or the caller's own ``view=`` of ``op`` on T
+or an equal support (any other is a ``ValueError``), which also gives the residual.
+Richardson's iteration and conjugate gradient need the normal product Phi_T* Phi_T z
+once per iteration.  When the operator offers a closed-form Gram (``gram_sub``, e.g.
+partial Fourier) that product is a |T| x |T| matrix-vector multiply; otherwise it is
+one multiply each with Phi_T and Phi_T*, so the solvers compose with any matrix-free
+operator.  A dense
 operator's view slices Phi_T once, and its products are BLAS calls on that
 slice; forming its Gram would cost more than the few iterations it serves.
 The right-hand side Phi_T* u is one product, or none when the Gram has a
@@ -97,6 +98,8 @@ def _prepare(op: SamplingOperator, T: SupportSet, u, z0, view, proxy):
     z = np.zeros(size, dtype) if z0 is None else np.array(z0, dtype)
     _check_length(z, size, "warm start")
     proxy = None if proxy is None else _check_length(proxy, op.n, "proxy")
+    if view is not None and (view.op is not op or view.T is not T and view.T != T):
+        raise ValueError("view is not Phi_T of this operator and support")
     view = op.restricted(T) if view is None else view
     return (u, z, view, view.rhs(u, proxy), *view.products(z.dtype))
 
@@ -114,6 +117,7 @@ def richardson_solve(
     initial_residual = float(np.linalg.norm(u - apply(z)))
     for _ in range(iterations):
         z = atu - normal(z) + z
+    z.setflags(write=False)  # z is the solve's own, as in _result
     residual = float(np.linalg.norm(u - apply(z)))
     diverged = residual > _DIVERGENCE_FACTOR * max(initial_residual, 1e-300)
     return LsqResult(z, iterations, residual, diverged)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import prng
 from .operators import SamplingOperator, _check_length
-from .signals import SupportSet, best_s_approx, norms
+from .signals import SupportSet, best_s_approx, check_int, norms
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class CompressibleSpec:
             raise ValueError("p must lie in (0, 1]")
         if not 0 < self.magnitude < math.inf:
             raise ValueError(f"magnitude must be positive and finite, got {self.magnitude!r}")
-        if self.n < 1:
+        if check_int(self.n, "n") < 1:
             raise ValueError("n must be positive")
 
 
@@ -58,7 +58,7 @@ def make_sparse(
     """
     prng.check_seed(position_seed)
     prng.check_seed(sign_seed)
-    if not 0 <= s <= n:
+    if not check_int(n, "n") >= check_int(s, "s") >= 0:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if not 0 < abs(scale) < math.inf:
         raise ValueError(f"scale must be finite and nonzero, got {scale!r}")
@@ -81,7 +81,7 @@ def make_sparse(
 
 
 def make_compressible(spec: CompressibleSpec) -> np.ndarray:
-    ranks = np.arange(1, spec.n + 1, dtype=np.float64)
+    ranks = np.arange(1.0, spec.n + 1.0)  # float64 from the start: no uint8 n + 1 wraps
     mags = spec.magnitude * ranks ** (-1.0 / spec.p)
     signed = mags * prng.signs(spec.sign_seed, spec.n)
     perm = prng.shuffled(spec.permutation_seed, spec.n)
@@ -108,7 +108,7 @@ def compressible_tail_bounds(spec: CompressibleSpec, s: int) -> tuple[float, flo
 
 def unrecoverable_energy(x, s: int, e_norm: float = 0.0) -> float:
     """Baseline error ||x - x_s||_2 + ||x - x_s||_1 / sqrt(s) + ||e||_2."""
-    if s < 1:
+    if check_int(s, "s") < 1:
         raise ValueError("s must be >= 1")
     x = np.asarray(x)
     tail = x - best_s_approx(x, s)[0]
@@ -122,7 +122,7 @@ def unrecoverable_energy_l1_bound(x, s: int, e_norm: float = 0.0) -> float:
     The half-sparsity index rounds down (minimum 1); the 1.71 constant
     assumes even s.
     """
-    if s < 1:
+    if check_int(s, "s") < 1:
         raise ValueError("s must be >= 1")
     x = np.asarray(x)
     half = max(s // 2, 1)
@@ -205,7 +205,7 @@ def iteration_bound(x, s: int) -> int:
 
     Maximized at p = s, where it stays below the universal 6 (s + 1) cap.
     """
-    if s < 1:
+    if check_int(s, "s") < 1:
         raise ValueError("s must be >= 1")
     x_s, _ = best_s_approx(np.asarray(x), s)
     if not np.any(x_s):

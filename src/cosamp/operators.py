@@ -7,11 +7,12 @@ is the true conjugate transpose for all kinds.
 
 The solvers and the Gram builders see Phi_T through ``restricted(T)``, a
 view with ``apply``, ``adjoint``, ``normal``, ``columns`` and ``gram`` that
-runs on the operator's own ``apply_sub`` / ``adjoint_sub``.  Dense
-operators, unless a subclass overrides those, slice Phi_T once per view
-instead of once per product.  Lengths are checked where data enters a
-view, not on each internal product: a view's ``apply`` / ``adjoint`` check
-theirs, its ``products`` do not.  Dense products of two
+runs on the operator's own ``apply_sub`` / ``adjoint_sub``.  A dense operator
+gathers Phi_T from its matrix in one place: its ``apply_sub`` / ``adjoint_sub``
+run on a fresh slice, and its views, unless a subclass overrides those, keep
+one slice per view.  Lengths are checked where data enters a view, not on each
+internal product: a view's ``apply`` / ``adjoint`` check theirs, its
+``products`` do not.  Dense products of two
 float64 operands run as ``ndarray.dot``, ``@``'s BLAS call without matmul's
 dispatch; any complex operand keeps ``@``, as ``dot``'s bits differ there.
 A full product or a public view product decides this per call; the solvers
@@ -166,9 +167,9 @@ class RestrictedView:
 
 
 class _SlicedView(RestrictedView):
-    """Dense Phi_T sliced once.  Each product is the BLAS call that
-    ``apply_sub`` / ``adjoint_sub`` make on a fresh slice, so the results
-    are theirs bit for bit; the columns are the slice.  The slice keeps the
+    """Dense Phi_T sliced once.  ``apply_sub`` / ``adjoint_sub`` are this view's
+    products on a fresh slice, so a kept view's results are theirs bit for
+    bit; the columns are the slice.  The slice keeps the
     gather's memory order, which decides BLAS's bits.  A real slice times a
     real vector is ``ndarray.dot``, any complex side ``@``: ``products`` makes
     that choice once for a dtype, ``apply`` and ``adjoint`` per call."""
@@ -247,26 +248,23 @@ class DenseOperator(SamplingOperator):
             return (v.conj() @ self.matrix).conj()
         return _product(self.matrix.T, v)
 
-    def apply_sub(self, T: SupportSet, coeffs) -> np.ndarray:
+    def _sliced(self, T: SupportSet) -> _SlicedView:
+        """Phi_T gathered from the matrix: the one slice every dense product of T runs on."""
         self._check_support(T)
-        coeffs = _check_length(coeffs, len(T), "coefficients")
-        return _product(self.matrix[:, T.indices], coeffs)
+        return _SlicedView(self, T, self.matrix[:, T.indices])
+
+    def apply_sub(self, T: SupportSet, coeffs) -> np.ndarray:
+        return self._sliced(T).apply(coeffs)
 
     def adjoint_sub(self, T: SupportSet, v) -> np.ndarray:
-        self._check_support(T)
-        v = _check_length(v, self.m, "sample vector")
-        return _product(self.matrix[:, T.indices].conj().T, v)
+        return self._sliced(T).adjoint(v)
 
     def restricted(self, T: SupportSet) -> RestrictedView:
         """Phi_T sliced once; the base view when a subclass overrides a product."""
         cls = type(self)
         if (cls.apply_sub, cls.adjoint_sub) != (DenseOperator.apply_sub, DenseOperator.adjoint_sub):
             return super().restricted(T)
-        self._check_support(T)
-        return _SlicedView(self, T, self.matrix[:, T.indices])
-
-    def materialize(self) -> np.ndarray:
-        return np.array(self.matrix)
+        return self._sliced(T)
 
 
 class GaussianOperator(DenseOperator):

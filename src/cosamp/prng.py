@@ -166,7 +166,7 @@ def _fisher_yates(seed: int, n: int, steps: int) -> list[int]:
     raw word i, reduced modulo n - i."""
     perm = list(range(n))
     if steps > 0:
-        offsets = raw_words(seed, steps) % np.arange(n, n - steps, -1, dtype=np.uint64)
+        offsets = raw_words(seed, steps) % (np.uint64(n) - np.arange(steps, dtype=np.uint64))
         for i, off in enumerate(offsets.tolist()):
             j = i + off
             perm[i], perm[j] = perm[j], perm[i]

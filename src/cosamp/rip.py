@@ -7,7 +7,9 @@ combinatorial, so this module offers an exhaustive mode under a support
 budget and a Monte Carlo mode that yields a certified lower bound, plus
 instance checks for the spectral consequences the recovery analysis leans
 on (approximate orthogonality, cross-correlation, the block bound
-delta_cr <= c * delta_2r, and the nonsparse energy bound).
+delta_cr <= c * delta_2r, and the nonsparse energy bound).  Nothing here makes
+Phi dense: the Gram is the view's, ``op.restricted(T).gram()`` on all N columns,
+and the checks take Phi_T from views and the rest from operator products.
 
 Both modes take the maximum of ||G_S - I||_2 without solving an
 eigenproblem per support: its Frobenius and Schatten-4 norms bound it, and
@@ -60,11 +62,6 @@ def gram_deviation(op: SamplingOperator, T: SupportSet) -> float:
     """Exact ||Phi_T* Phi_T - I||_2 via a dense eigendecomposition of the Gram."""
     eigs = np.linalg.eigvalsh(op.restricted(T).gram())
     return float(max(eigs[-1] - 1.0, 1.0 - eigs[0]))
-
-
-def _full_gram(op: SamplingOperator) -> np.ndarray:
-    mat = op.materialize()
-    return mat.conj().T @ mat
 
 
 def _deviations(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
@@ -285,37 +282,35 @@ def rip_estimate(
     ``trials`` >= 1 supports, trial t's being
     ``sample_without_replacement(mix_seed(seed, t), N, r)``, all drawn by
     :func:`prng.sample_many`; its maximum is a certified lower bound on
-    delta_r.  r, budget and trials must be integers; method and seed are read before the Gram.
+    delta_r.  Both modes read every argument before the Gram: r, budget and
+    trials >= 1 must be integers, seed a u64.
     """
     for value, what in ((r, "r"), (budget, "budget"), (trials, "trials")):
         check_int(value, what)
     if not 1 <= r <= op.n:
         raise ValueError(f"need 1 <= r <= N, got r={r}")
-    if method == "exhaustive":
-        count = math.comb(op.n, r)
-        if count > budget:
-            raise RipBudgetError(
-                f"C({op.n}, {r}) = {count} supports exceed the budget of {budget}; "
-                "use method='monte_carlo'"
-            )
-        gram = _full_gram(op)
-        dev = _hermitian_deviation(gram)
-        worst = _greedy_worst(gram, dev, r)
-        # the most coupled indices first, so the bounds on completions past q fall fastest
-        order = np.argsort(-np.sum(np.abs(dev) ** 2, axis=1), kind="stable")
-        kept = _candidates(dev[np.ix_(order, order)], r, worst - 1e-9 * max(1.0, worst))
-        for position in kept.T:  # mapped back and sorted in place: no copy of the table
-            position[...] = order[position]
-        kept.sort(axis=1)
-        delta = max(worst, _max_deviation_over(gram, kept))
-        return RipEstimate(r, delta, delta, "exhaustive")
+    prng.check_seed(seed)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got trials={trials}")
+    if method not in ("exhaustive", "monte_carlo"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "exhaustive" and (count := math.comb(op.n, r)) > budget:
+        raise RipBudgetError(f"C({op.n}, {r}) = {count} supports exceed the budget of "
+                             f"{budget}; use method='monte_carlo'")
+    gram = op.restricted(SupportSet.full(op.n)).gram()
     if method == "monte_carlo":
-        prng.check_seed(seed)
-        if trials < 1:
-            raise ValueError(f"need trials >= 1, got trials={trials}")
-        delta = _max_deviation_over(_full_gram(op), prng.sample_many(seed, trials, op.n, r))
+        delta = _max_deviation_over(gram, prng.sample_many(seed, trials, op.n, r))
         return RipEstimate(r, delta, None, "monte_carlo", trials=trials, seed=seed)
-    raise ValueError(f"unknown method {method!r}")
+    dev = _hermitian_deviation(gram)
+    worst = _greedy_worst(gram, dev, r)
+    # the most coupled indices first, so the bounds on completions past q fall fastest
+    order = np.argsort(-np.sum(np.abs(dev) ** 2, axis=1), kind="stable")
+    kept = _candidates(dev[np.ix_(order, order)], r, worst - 1e-9 * max(1.0, worst))
+    for position in kept.T:  # mapped back and sorted in place: no copy of the table
+        position[...] = order[position]
+    kept.sort(axis=1)
+    delta = max(worst, _max_deviation_over(gram, kept))
+    return RipEstimate(r, delta, delta, "exhaustive")
 
 
 class ConsequenceCheck(StepBound):
@@ -361,8 +356,8 @@ def check_rip_consequences(
     small enough for :func:`rip_estimate`'s default budget; ``include``
     restricts the audit when some delta order would exceed it.  ``x``
     defaults to a seeded dense vector; the support and the disjoint set are
-    seeded sets of size r.  The report carries every inequality's two sides;
-    failures are reported, not raised.
+    seeded sets of size r, whose blocks are read off views.  The report carries
+    every inequality's two sides; failures are reported, not raised.
     """
     prng.check_seed(seed)
     n = op.n
@@ -374,7 +369,7 @@ def check_rip_consequences(
     take = pool[prng.sample_without_replacement(prng.mix_seed(seed, 3), pool.size, r)]
     disjoint = SupportSet(np.sort(take), n)
 
-    mat = op.materialize()
+    phi_t = op.restricted(support).columns()
     deltas: dict[int, float] = {}
 
     def delta(order: int) -> float:
@@ -389,15 +384,14 @@ def check_rip_consequences(
 
     if "singular_values" in include:
         # singular values of Phi_T within [sqrt(1-delta_r), sqrt(1+delta_r)]
-        sub = mat[:, support.indices]
-        sing = np.linalg.svd(sub, compute_uv=False)
+        sing = np.linalg.svd(phi_t, compute_uv=False)
         d_r = delta(len(support))
         check("singular_value_upper", float(sing.max()), math.sqrt(1 + d_r))
         check("singular_value_lower", math.sqrt(max(1 - d_r, 0.0)), float(sing.min()))
 
     if "approximate_orthogonality" in include:
         # disjoint column blocks are nearly orthogonal: ||Phi_S* Phi_T|| <= delta_{|S|+|T|}
-        cross = mat[:, disjoint.indices].conj().T @ mat[:, support.indices]
+        cross = op.restricted(disjoint).columns().conj().T @ phi_t
         cross_norm = float(np.linalg.svd(cross, compute_uv=False).max())
         check("approximate_orthogonality", cross_norm, delta(len(support) + len(disjoint)))
 
@@ -405,7 +399,7 @@ def check_rip_consequences(
         # ||Phi_T* Phi x|_{T^c}|| <= delta_r' ||x|_{T^c}|| with r' >= |T u supp(x)|
         # x on the first r indices off T only, so |T u supp| <= 2r stays checkable
         tail = restrict(x, SupportSet(support.complement().indices[:r], n))
-        lhs = float(np.linalg.norm(mat[:, support.indices].conj().T @ (mat @ tail)))
+        lhs = float(np.linalg.norm(op.adjoint_sub(support, op.apply(tail))))
         r_union = len(support.union(support_of(tail)))
         check("cross_correlation", lhs, delta(max(r_union, 1)) * float(np.linalg.norm(tail)))
 
@@ -416,6 +410,6 @@ def check_rip_consequences(
         # nonsparse vectors inflate by at most sqrt(1+delta_r) (l2 + l1/sqrt(r))
         nx = norms(x)
         bound = math.sqrt(1 + delta(r)) * (nx.l2 + nx.l1 / math.sqrt(r))
-        check("energy_bound", float(np.linalg.norm(mat @ x)), bound)
+        check("energy_bound", float(np.linalg.norm(op.apply(x))), bound)
 
     return RipConsequenceReport(tuple(checks), deltas)

@@ -161,7 +161,7 @@ def _neg_abs(x) -> np.ndarray:
 
 def _select(neg: np.ndarray, s: int) -> np.ndarray:
     """Sorted int64 indices of x's best s-term support, given ``neg`` = -|x|."""
-    if s < 0:
+    if check_int(s, "s") < 0:
         raise ValueError("s must be nonnegative")
     if s == 0:
         return np.empty(0, dtype=np.int64)
@@ -229,6 +229,6 @@ def norms(x) -> Norms:
 
 def head_tail_l1_bound(x, t: int) -> float:
     """Upper bound ``||x||_1 / (2 sqrt(t))`` on the l2 tail ``||x - x_t||_2``."""
-    if t < 1:
+    if check_int(t, "t") < 1:
         raise ValueError("t must be >= 1")
     return norms(x).l1 / (2.0 * math.sqrt(t))

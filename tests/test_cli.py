@@ -189,6 +189,18 @@ class TestRipCommand:
         assert err.startswith("config error:") and "trials" in err
 
 
+    def test_exhaustive_without_trials_is_a_config_error(self, tmp_path, capsys):
+        # exhaustive mode draws nothing, yet reads --trials like Monte Carlo does
+        cfg = {"version": "config_v1", "operator": {"kind": "gaussian", "m": 8, "n": 16, "seed": 1}}
+        path = write_config(tmp_path, cfg)
+        code = main([
+            "rip", "--config", str(path), "--out", str(tmp_path),
+            "--r", "2", "--method", "exhaustive", "--trials", "0",
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: need trials >= 1")
+
+
 class TestMalformedSections:
     @pytest.mark.parametrize(
         "command", [["recover"], ["sweep"], ["rip", "--r", "2"], ["gen-signal"]], ids=lambda c: c[0]

@@ -466,6 +466,18 @@ class TestPublicContract:
         assert not np.shares_memory(result.coefficients, z0)
         assert z0.flags.writeable and z0.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("solver", [cg_solve, richardson_solve, direct_solve],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_coefficients_are_read_only(self, case, solver):
+        _, op = case
+        T, u, _ = self.instance(op)
+        result = solver(op, T, u)
+        before = result.coefficients.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            result.coefficients[0] = 7.0
+        assert result.coefficients.tobytes() == before
+
     @pytest.mark.parametrize("solver", [cg_solve, solve])
     def test_exact_warm_start_stays_the_callers(self, solver):
         # rho = 0 at once: CG returns the warm start's values without an iteration
@@ -480,6 +492,48 @@ class TestPublicContract:
         assert z0.flags.writeable
         z0[0] = -1.0  # the caller can still write it, and the result does not move
         assert result.coefficients[0] == 1.0
+
+
+class TestGivenView:
+    """A given ``view`` must be ``op``'s own on T, or on an equal support: a view of
+    another support or operator would solve for another Phi_T under T's name."""
+
+    CASES = [
+        ("dense", lambda: gaussian_operator(16, 32, seed=2)),
+        ("partial_fourier", lambda: partial_fourier_operator(16, 32, seed=3)),
+    ]
+    SOLVERS = [cg_solve, richardson_solve, direct_solve]
+
+    @staticmethod
+    def instance(make):
+        op = make()
+        return op, SupportSet(np.array([1, 5, 9]), op.n), op.apply(prng.normals(40, op.n))
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_view_of_another_support_is_refused(self, case, solver):
+        op, T, u = self.instance(case[1])
+        other = SupportSet(np.array([1, 5, 10]), op.n)  # the same size
+        with pytest.raises(ValueError, match="view is not Phi_T of this operator and support"):
+            solver(op, T, u, view=op.restricted(other))
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_view_of_another_operator_is_refused(self, case, solver):
+        op, T, u = self.instance(case[1])
+        twin = case[1]()  # equal entries, but another operator
+        with pytest.raises(ValueError, match="view is not Phi_T of this operator and support"):
+            solver(op, T, u, view=twin.restricted(T))
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_view_of_an_equal_support_is_accepted(self, case, solver):
+        op, T, u = self.instance(case[1])
+        view = op.restricted(SupportSet(np.array([1, 5, 9]), op.n))
+        assert view.T is not T
+        got, want = solver(op, T, u, view=view), solver(op, T, u)
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.residual_samples_norm == want.residual_samples_norm
 
 
 class TestDispatch:

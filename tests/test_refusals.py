@@ -4,7 +4,7 @@ Each row names the call, the exception type and the start of its message.
 ``tools/line_coverage.py`` lists the function-body statements a test run never
 executes; these rows are its ``raise`` statements, the length reads of the
 solvers', the recovery loop's and the noise fold's vector inputs, and the integer
-reads of ``rip_estimate``'s counts.  The operator size checks live in
+reads of the counts that enter ``rip_estimate``, ``models`` and ``signals``.  The operator size checks live in
 ``test_operators.py::TestSizeReader``.
 """
 
@@ -120,6 +120,24 @@ REFUSALS = [
      ValueError, "s must be >= 1"),
     ("iteration bound s", lambda d: models.iteration_bound(np.ones(4), 0),
      ValueError, "s must be >= 1"),
+    # models: counts are read as integers
+    ("compressible n float", lambda d: models.CompressibleSpec(0.7, 1.0, 4.5, 1, 2),
+     TypeError, "n must be an integer, got 4.5"),
+    ("compressible n bool", lambda d: models.CompressibleSpec(0.7, 1.0, True, 1, 2),
+     TypeError, "n must be an integer, got True"),
+    ("sparse s bool", lambda d: models.make_sparse(10, True, position_seed=1, sign_seed=2),
+     TypeError, "s must be an integer, got True"),
+    ("sparse n float", lambda d: models.make_sparse(10.0, 2, position_seed=1, sign_seed=2),
+     TypeError, "n must be an integer, got 10.0"),
+    ("unrecoverable energy s float", lambda d: models.unrecoverable_energy(np.ones(4), 2.0),
+     TypeError, "s must be an integer, got 2.0"),
+    ("l1 bound s float", lambda d: models.unrecoverable_energy_l1_bound(np.ones(4), 2.0),
+     TypeError, "s must be an integer, got 2.0"),
+    ("iteration bound s float", lambda d: models.iteration_bound(np.ones(4), 2.0),
+     TypeError, "s must be an integer, got 2.0"),
+    ("fold s float", lambda d: models.noise_fold(gaussian_operator(8, 16, seed=1),
+                                                 np.ones(16), 2.0),
+     TypeError, "s must be an integer, got 2.0"),
     ("dynamic range of zero", lambda d: models.dynamic_range_iterations(np.zeros(4), 2),
      ValueError, "dynamic range is undefined for the zero signal"),
     ("fold scalar noise", lambda d: models.noise_fold(gaussian_operator(8, 16, seed=1),
@@ -152,6 +170,15 @@ REFUSALS = [
     ("rip trials bool", lambda d: rip.rip_estimate(gaussian_operator(4, 8, 1), 2, "monte_carlo",
                                                    trials=True),
      TypeError, "trials must be an integer, got True"),
+    ("rip exhaustive seed", lambda d: rip.rip_estimate(gaussian_operator(8, 16, seed=1), 2,
+                                                       "exhaustive", seed=-1),
+     ValueError, "a seed must lie in [0, 2**64), got -1"),
+    ("rip exhaustive seed str", lambda d: rip.rip_estimate(gaussian_operator(8, 16, seed=1), 2,
+                                                           "exhaustive", seed="x"),
+     TypeError, "a seed must be an integer, got 'x'"),
+    ("rip exhaustive trials", lambda d: rip.rip_estimate(gaussian_operator(8, 16, seed=1), 2,
+                                                         "exhaustive", trials=0),
+     ValueError, "need trials >= 1, got trials=0"),
     # serialize
     ("signal 2-D", lambda d: serialize.write_signal(d / "s.csk1", np.ones((2, 2))),
      ValueError, "signals are 1-D"),
@@ -177,6 +204,10 @@ REFUSALS = [
     ("embed size", lambda d: embed(np.ones(3), SupportSet([0, 2], 4)),
      ValueError, "got 3 coefficients for |T| = 2"),
     ("tail bound t", lambda d: head_tail_l1_bound(np.ones(4), 0), ValueError, "t must be >= 1"),
+    ("best s float", lambda d: best_s_approx(np.ones(4), 2.0),
+     TypeError, "s must be an integer, got 2.0"),
+    ("tail bound t float", lambda d: head_tail_l1_bound(np.ones(4), 2.5),
+     TypeError, "t must be an integer, got 2.5"),
 ]
 
 
@@ -186,3 +217,27 @@ def test_a_bad_input_is_refused_with_its_message(tmp_path, call, kind, message):
     with pytest.raises(kind, match="^" + re.escape(message)) as caught:
         call(tmp_path)
     assert type(caught.value) is kind
+
+
+X = np.array([3.0, -1.0, 0.5, 2.0, -4.0, 0.25])
+
+# (id, call of a count reader): each count goes through ``reader``
+COUNTS = [
+    ("compressible n", lambda k: models.make_compressible(models.CompressibleSpec(0.7, 1.0, k(8),
+                                                                                  1, 2))),
+    ("compressible n 255", lambda k: models.make_compressible(  # n + 1 wraps in uint8
+        models.CompressibleSpec(0.7, 1.0, k(255), 1, 2))),
+    ("sparse n and s", lambda k: models.make_sparse(k(10), k(3), position_seed=1, sign_seed=2)),
+    ("unrecoverable energy s", lambda k: models.unrecoverable_energy(X, k(2))),
+    ("l1 bound s", lambda k: models.unrecoverable_energy_l1_bound(X, k(2))),
+    ("iteration bound s", lambda k: models.iteration_bound(X, k(2))),
+    ("fold s", lambda k: models.noise_fold(gaussian_operator(4, 6, seed=1), X, k(2)).folded),
+    ("best s", lambda k: best_s_approx(X, k(2))[0]),
+    ("tail bound t", lambda k: head_tail_l1_bound(X, k(2))),
+]
+
+
+@pytest.mark.parametrize("reader", [np.int64, np.int32, np.uint8], ids=lambda k: k.__name__)
+@pytest.mark.parametrize("call", [row[1] for row in COUNTS], ids=[row[0] for row in COUNTS])
+def test_a_numpy_integer_count_gives_the_python_ints_result(call, reader):
+    assert np.asarray(call(reader)).tobytes() == np.asarray(call(int)).tobytes()

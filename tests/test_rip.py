@@ -74,10 +74,14 @@ class TestRipEstimate:
         assert worst <= rip_estimate(op, 2, "exhaustive").delta_exact + 1e-12
 
 
+def view_gram(op):
+    """Phi* Phi as ``rip_estimate`` reads it: the Gram of the view on all N columns."""
+    return op.restricted(SupportSet.full(op.n)).gram()
+
+
 def brute_force_delta(op, supports):
     """max ||G_S - I||_2 with one unpruned eigvalsh per support."""
-    mat = op.materialize()
-    return brute_force_max(mat.conj().T @ mat, supports)
+    return brute_force_max(view_gram(op), supports)
 
 
 def brute_force_max(gram, supports):
@@ -118,6 +122,36 @@ RIP_FIXTURES = {
     "gated12": lambda: gated_operator(12, seed=5),
     "gated16": lambda: gated_operator(16, seed=1),
 }
+
+
+# (fixture, r) on which a block of the full Gram and the per-support view Gram, BLAS
+# products of different shapes, round apart in their last bits: 1-supports of the 16-
+# and 24-row real fixtures, and 1- and 3-supports of the complex one
+LAST_BIT_CASES = {
+    ("complex10x14", 1), ("complex10x14", 3), ("gauss24x32-1", 1), ("gauss24x32-11", 1),
+    ("gauss24x32-13", 1), ("gauss24x32-77", 1), ("gated16", 1),
+}
+
+
+class TestDeltaIsTheMaximumOfGramDeviation:
+    """``rip_estimate`` and ``gram_deviation`` both take the Gram from
+    ``op.restricted``, so delta_r is the largest ``gram_deviation`` over all
+    r-supports, bit for bit, wherever the blocks round alike."""
+
+    # orders 1 to 3 with at most 5,000 supports, one gram_deviation each
+    ORDERS = [(name, r) for name, make in RIP_FIXTURES.items() for r in (1, 2, 3)
+              if math.comb(make().n, r) <= 5_000]
+
+    @pytest.mark.parametrize("name, r", ORDERS, ids=[f"{name}-r{r}" for name, r in ORDERS])
+    def test_exhaustive_delta_is_the_largest_deviation(self, name, r):
+        op = RIP_FIXTURES[name]()
+        delta = rip_estimate(op, r).delta_exact
+        brute = max(gram_deviation(op, SupportSet(np.array(t), op.n))
+                    for t in combinations(range(op.n), r))
+        if (name, r) in LAST_BIT_CASES:
+            assert delta != brute and delta == pytest.approx(brute, rel=1e-14, abs=1e-15)
+        else:
+            assert delta == brute
 
 
 class TestFullGramBound:
@@ -297,8 +331,7 @@ class TestPrunedEstimateIsExact:
 def unpruned_delta(op, r):
     """The oracle: one batched ``eigvalsh`` over every ``itertools.combinations``
     support, with no bound and no pruning."""
-    mat = op.materialize()
-    gram = mat.conj().T @ mat
+    gram = view_gram(op)
     supports = np.array(list(combinations(range(op.n), r)))
     eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
     return float(np.max(np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])))
@@ -442,12 +475,15 @@ class TestPrefixDescent:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 class MaterializeForbidden:
-    """An operator that may not be densified."""
+    """An operator that may be neither densified nor viewed: its Gram would come first."""
 
     n = 64
 
     def materialize(self):
         raise AssertionError("materialize called before the argument checks")
+
+    def restricted(self, T):
+        raise AssertionError("restricted called before the argument checks")
 
 
 class TestFailsBeforeTheGram:
@@ -468,6 +504,20 @@ class TestFailsBeforeTheGram:
     def test_monte_carlo_refuses_a_seed_outside_u64_first(self, seed):
         with pytest.raises(ValueError, match=r"a seed must lie in \[0, 2\*\*64\)"):
             rip_estimate(MaterializeForbidden(), 4, "monte_carlo", trials=50, seed=seed)
+
+    @pytest.mark.parametrize(
+        "given, kind, message",
+        [
+            ({"seed": -1}, ValueError, r"a seed must lie in \[0, 2\*\*64\)"),
+            ({"seed": "x"}, TypeError, "a seed must be an integer"),
+            ({"trials": 0}, ValueError, "need trials >= 1"),
+        ],
+        ids=["seed-negative", "seed-str", "trials-0"],
+    )
+    def test_exhaustive_reads_seed_and_trials_first(self, given, kind, message):
+        # exhaustive mode draws nothing, but a bad seed or trial count is still refused
+        with pytest.raises(kind, match=message):
+            rip_estimate(MaterializeForbidden(), 2, "exhaustive", **given)
 
     def test_monte_carlo_accepts_the_largest_u64_seed(self):
         op = gaussian_operator(12, 16, seed=4)
@@ -545,7 +595,7 @@ class TestBoundedGathers:
     with the support count.  A matrix's eigenvalues do not depend on its batch."""
 
     def test_near_n_supports_are_solved_in_bounded_batches_with_the_same_bytes(self):
-        gram = rip._full_gram(gaussian_operator(24, 32, seed=77))
+        gram = view_gram(gaussian_operator(24, 32, seed=77))
         supports = prng.sample_many(3, 6_000, 32, 26)  # one gather of all: 32 MB
         tracemalloc.start()
         try:
@@ -558,7 +608,7 @@ class TestBoundedGathers:
         assert got.tobytes() == np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0]).tobytes()
 
     def test_schatten4_bounds_keep_their_bytes_in_batches(self, monkeypatch):
-        gram = rip._full_gram(gaussian_operator(24, 32, seed=77))
+        gram = view_gram(gaussian_operator(24, 32, seed=77))
         dev = rip._hermitian_deviation(gram)
         supports = prng.sample_many(4, 500, 32, 12)
         whole = rip._schatten4_bounds(dev, supports)
@@ -579,7 +629,7 @@ class TestNearNTables:
     maps and sorts the kept table in place."""
 
     def test_candidates_peak_near_two_final_tables(self):
-        dev = rip._hermitian_deviation(rip._full_gram(gaussian_operator(20, 24, seed=77)))
+        dev = rip._hermitian_deviation(view_gram(gaussian_operator(20, 24, seed=77)))
         tracemalloc.start()
         try:
             table = rip._candidates(dev, 19, 0.0)  # all C(24, 19) = 42,504 supports
@@ -592,7 +642,7 @@ class TestNearNTables:
     def test_pending_rows_are_solved_a_batch_at_a_time_with_the_same_maximum(self, monkeypatch):
         # with one probe nearly all 1,820 rows of C(16, 12) stay pending; batches of 16
         # rows take them through the Schatten-4 filter and eigvalsh, with no copy of all
-        gram = rip._full_gram(gaussian_operator(12, 16, seed=77))
+        gram = view_gram(gaussian_operator(12, 16, seed=77))
         supports = np.array(list(combinations(range(16), 12)))
         monkeypatch.setattr(rip, "_PROBE_COUNT", 1)
         monkeypatch.setattr(rip, "_GATHER", 144 * 16)
