@@ -82,9 +82,13 @@ class LsqResult:
         return self.residual() if callable(self.residual) else self.residual
 
 
-def _result(apply, u: np.ndarray, z, iterations) -> LsqResult:
+def _result(apply, u: np.ndarray, z, iterations, residual=None, diverged=False) -> LsqResult:
+    """Every solve's result: read-only z, and a residual read on demand unless given."""
+    if np.count_nonzero(np.isfinite(z)) < z.size:  # the one finiteness check: no caller repeats it
+        raise np.linalg.LinAlgError("estimate has non-finite coefficients")
     z.setflags(write=False)  # u is _prepare's copy: the residual stays that of the samples solved
-    return LsqResult(z, iterations, lambda: float(np.linalg.norm(u - apply(z))))
+    residual = (lambda: float(np.linalg.norm(u - apply(z)))) if residual is None else residual
+    return LsqResult(z, iterations, residual, diverged)
 
 
 def _prepare(op: SamplingOperator, T: SupportSet, u, z0, view, proxy):
@@ -111,16 +115,15 @@ def richardson_solve(
 
     Returns the iterate after ``iterations`` steps.  Divergence is not an
     error: if the sample-space residual norm grows by 10x over the run the
-    result is flagged, and the caller decides what to do.
+    result is flagged; a non-finite iterate raises ``LinAlgError``, as in every solver.
     """
     u, z, view, atu, apply, normal = _prepare(op, T, u, z0, view, proxy)
     initial_residual = float(np.linalg.norm(u - apply(z)))
     for _ in range(iterations):
         z = atu - normal(z) + z
-    z.setflags(write=False)  # z is the solve's own, as in _result
     residual = float(np.linalg.norm(u - apply(z)))
-    diverged = residual > _DIVERGENCE_FACTOR * max(initial_residual, 1e-300)
-    return LsqResult(z, iterations, residual, diverged)
+    return _result(apply, u, z, iterations, residual,
+                   residual > _DIVERGENCE_FACTOR * max(initial_residual, 1e-300))
 
 
 def cg_solve(

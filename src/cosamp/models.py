@@ -99,6 +99,7 @@ def compressible_constants(p: float) -> tuple[float, float]:
 
 def compressible_tail_bounds(spec: CompressibleSpec, s: int) -> tuple[float, float]:
     """(l1 bound, l2 bound) on the tail x - x_s of a p-compressible signal."""
+    _check_s(s)
     c_p, d_p = compressible_constants(spec.p)
     exponent = 1.0 - 1.0 / spec.p
     l1 = c_p * spec.magnitude * s**exponent if math.isfinite(c_p) else math.inf
@@ -106,10 +107,14 @@ def compressible_tail_bounds(spec: CompressibleSpec, s: int) -> tuple[float, flo
     return l1, l2
 
 
+def _check_s(s: int) -> None:
+    if check_int(s, "s") < 1:  # every sparsity s in this module is an integer >= 1
+        raise ValueError("s must be >= 1")
+
+
 def unrecoverable_energy(x, s: int, e_norm: float = 0.0) -> float:
     """Baseline error ||x - x_s||_2 + ||x - x_s||_1 / sqrt(s) + ||e||_2."""
-    if check_int(s, "s") < 1:
-        raise ValueError("s must be >= 1")
+    _check_s(s)
     x = np.asarray(x)
     tail = x - best_s_approx(x, s)[0]
     t = norms(tail)
@@ -122,8 +127,7 @@ def unrecoverable_energy_l1_bound(x, s: int, e_norm: float = 0.0) -> float:
     The half-sparsity index rounds down (minimum 1); the 1.71 constant
     assumes even s.
     """
-    if check_int(s, "s") < 1:
-        raise ValueError("s must be >= 1")
+    _check_s(s)
     x = np.asarray(x)
     half = max(s // 2, 1)
     tail = x - best_s_approx(x, half)[0]
@@ -132,6 +136,7 @@ def unrecoverable_energy_l1_bound(x, s: int, e_norm: float = 0.0) -> float:
 
 def compressible_energy_bound(spec: CompressibleSpec, s: int, e_norm: float = 0.0) -> float:
     """Unrecoverable-energy bound 2 C_p R s^(1/2 - 1/p) + ||e|| for the model."""
+    _check_s(s)
     c_p, _ = compressible_constants(spec.p)
     if not math.isfinite(c_p):
         return math.inf
@@ -150,18 +155,16 @@ class NoiseFold:
 def noise_fold(op: SamplingOperator, x, s: int, e=None) -> NoiseFold:
     """Fold the signal tail into the noise: folded = Phi (x - x_s) + e.
 
-    The bound is 1.05 [ ||x - x_s||_2 + ||x - x_s||_1 / sqrt(s) ] + ||e||_2
-    and is guaranteed only when delta_s <= 0.1 holds for the operator.
+    The bound is 1.05 :func:`unrecoverable_energy` (x, s) + ||e||_2 and is
+    guaranteed only when delta_s <= 0.1 holds for the operator.
     """
     x = np.asarray(x)
-    tail = x - best_s_approx(x, s)[0]
-    folded, e_norm = op.apply(tail), 0.0
+    energy = unrecoverable_energy(x, s)  # reads s before any product
+    folded, e_norm = op.apply(x - best_s_approx(x, s)[0]), 0.0
     if e is not None:
         e = _check_length(e, op.m, "noise")
         folded, e_norm = folded + e, float(np.linalg.norm(e))
-    t = norms(tail)
-    bound = 1.05 * (t.l2 + t.l1 / math.sqrt(s)) + e_norm
-    return NoiseFold(folded, float(np.linalg.norm(folded)), bound)
+    return NoiseFold(folded, float(np.linalg.norm(folded)), 1.05 * energy + e_norm)
 
 
 @dataclass(frozen=True)
@@ -205,8 +208,7 @@ def iteration_bound(x, s: int) -> int:
 
     Maximized at p = s, where it stays below the universal 6 (s + 1) cap.
     """
-    if check_int(s, "s") < 1:
-        raise ValueError("s must be >= 1")
+    _check_s(s)
     x_s, _ = best_s_approx(np.asarray(x), s)
     if not np.any(x_s):
         return 6
@@ -218,6 +220,7 @@ def iteration_bound(x, s: int) -> int:
 def dynamic_range_iterations(x, s: int) -> float:
     """Reported diagnostic 3.3 * dynamic_range_dB + log2 sqrt(s) + 1 for an
     s-sparse x (not an asserted bound)."""
+    _check_s(s)
     x = np.asarray(x)
     mags = np.abs(x[x != 0])
     if mags.size == 0:
@@ -238,7 +241,7 @@ def snr_metrics(x, a, nu: float) -> tuple[float, float]:
         raise ValueError("SNR metrics need a nonzero signal")
     if nu <= 0.0:
         raise ValueError("SNR needs a positive unrecoverable energy")
-    err = float(np.linalg.norm(x - np.asarray(a)))
+    err = float(np.linalg.norm(x - _check_length(a, x.size, "approximation")))
     snr = 10.0 * math.log10(x_norm / nu)
     rsnr = -math.inf if err == 0.0 else 10.0 * math.log10(err / x_norm)
     return snr, rsnr

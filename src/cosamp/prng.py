@@ -195,12 +195,14 @@ def sample_many(seed: int, trials: int, n: int, m: int) -> np.ndarray:
     unsigned type holding n - 1, bytes up to n = 256: swap i trades row i, contiguous,
     with one entry per trial.
     """
+    trials, n, m = (int(check_int(v, w)) for v, w in ((trials, "trials"), (n, "n"), (m, "m")))
     if trials < 0 or not 0 <= m <= n:
         raise ValueError(f"need trials >= 0 and 0 <= m <= n, got trials={trials}, m={m}, n={n}")
     steps, base = max(min(m, n - 1), 0), np.uint64(mix_seed(seed))
     dtype = np.min_scalar_type(max(n - 1, 0))
     chunk = max(1, _TABLE_ENTRIES // max(n * dtype.itemsize, 8 * steps, 1))
-    out, moduli = np.empty((trials, m), dtype=np.int64), n - np.arange(steps, dtype=np.uint64)
+    out = np.empty((trials, m), dtype=np.int64)
+    moduli = np.uint64(n) - np.arange(steps, dtype=np.uint64)  # as in _fisher_yates
     for start in range(0, trials, chunk):
         keys = _splitmix64(np.arange(start, min(trials, start + chunk), dtype=np.uint64) ^ base)
         # flat index (i + offset) * keys + t of the entry that swap i trades with (i, t)

@@ -219,8 +219,8 @@ def _iterate(state: RecoveryState, y: np.ndarray, keys: list[np.ndarray], op: Sa
     T alone), with its solver result; they are the only steps in which the
     loop variants differ; ``view`` is Phi_T, which the update applies too.
     The five step times in microseconds go into ``times``, in one update from
-    the step boundaries.  A solver ``LinAlgError`` or a non-finite estimate
-    raises :class:`SolverFailure`.
+    the step boundaries.  A solver ``LinAlgError``, a non-finite estimate
+    included, raises :class:`SolverFailure`.
     """
     clock = time.perf_counter_ns
     t0 = clock()
@@ -237,11 +237,6 @@ def _iterate(state: RecoveryState, y: np.ndarray, keys: list[np.ndarray], op: Sa
         b_T, lsq_result = estimate(op, u, c, y, state, omega, view, config)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(state.k + 1, exc) from exc
-    if lsq_result is not None and (np.count_nonzero(np.isfinite(lsq_result.coefficients))
-                                   < lsq_result.coefficients.size):
-        raise SolverFailure(
-            state.k + 1, FloatingPointError("estimate has non-finite coefficients")
-        )
     b = np.zeros(n, b_T.dtype)
     b[idx] = b_T
     t3 = clock()
@@ -318,8 +313,8 @@ def iteration_diagnostics(state: RecoveryState, truth, noise) -> tuple[StepBound
     """
     if state.k < 1 or state.b is None or state.y is None:
         raise ValueError("diagnostics need a completed iteration")
-    x = np.asarray(truth)
-    e_norm = float(np.linalg.norm(noise)) if noise is not None else 0.0
+    x, m = _check_length(truth, state.a.size, "truth"), state.v.size
+    e_norm = 0.0 if noise is None else float(np.linalg.norm(_check_length(noise, m, "noise")))
     r = x - state.a_prev
     r_off_omega = float(np.linalg.norm(restrict(r, state.omega.complement())))
     r_norm = float(np.linalg.norm(r))

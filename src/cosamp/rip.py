@@ -59,9 +59,8 @@ class RipEstimate:
 
 
 def gram_deviation(op: SamplingOperator, T: SupportSet) -> float:
-    """Exact ||Phi_T* Phi_T - I||_2 via a dense eigendecomposition of the Gram."""
-    eigs = np.linalg.eigvalsh(op.restricted(T).gram())
-    return float(max(eigs[-1] - 1.0, 1.0 - eigs[0]))
+    """Exact ||Phi_T* Phi_T - I||_2: :func:`_deviations` of T's view Gram as one support."""
+    return float(_deviations(op.restricted(T).gram(), np.arange(len(T))[None])[0])
 
 
 def _deviations(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
@@ -106,15 +105,11 @@ def _hermitian_deviation(gram: np.ndarray) -> np.ndarray:
 
 def _schatten4_bounds(dev: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """(tr E_S^4)^(1/4) >= ||E_S||_2 for each support row S of E = ``dev``: at most
-    r^(1/4) times ||E_S||_2, where the Frobenius norm may reach sqrt(r) times it."""
-    out, step = np.empty(supports.shape[0]), max(1, _GATHER // supports.shape[1] ** 2)
-    for start in range(0, supports.shape[0], step):
-        block = supports[start : start + step]
-        sub = dev[block[:, :, None], block[:, None, :]]
-        squared = sub @ sub
-        fourth = np.einsum("kij,kij->k", squared, squared.conj()).real
-        out[start : start + block.shape[0]] = np.sqrt(np.sqrt(fourth))
-    return out
+    r^(1/4) times ||E_S||_2, where the Frobenius norm may reach sqrt(r) times it.
+    One gather of all rows: :func:`_max_deviation_over` passes a batch at a time."""
+    sub = dev[supports[:, :, None], supports[:, None, :]]
+    squared = sub @ sub
+    return np.sqrt(np.sqrt(np.einsum("kij,kij->k", squared, squared.conj()).real))
 
 
 def _max_deviation_over(gram: np.ndarray, supports: np.ndarray) -> float:

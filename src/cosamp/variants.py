@@ -15,7 +15,7 @@ from .lsq import direct_solve, solve
 from .operators import SamplingOperator
 from .recovery import (RecoveryConfig, RecoveryReport, _drive, _estimate, _merge, _support,
                        merge_support)
-from .signals import SupportSet, _select, embed, support_of
+from .signals import SupportSet, _select, as_signal, embed, support_of
 
 
 def recover_residual_variant(
@@ -44,9 +44,9 @@ def final_polish(op: SamplingOperator, u, a) -> np.ndarray:
     """Re-solve least squares on supp(a) against the original samples.
 
     Never increases the sample-space residual norm; rank deficiency raises
-    as in the direct solver.
+    as in the direct solver.  ``a`` is read as a finite length-N signal.
     """
-    a = np.asarray(a)
+    a = as_signal(a, op.n)
     T = support_of(a)
     if len(T) == 0:
         return a.copy()

@@ -478,6 +478,19 @@ class TestPublicContract:
             result.coefficients[0] = 7.0
         assert result.coefficients.tobytes() == before
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solver", [cg_solve, richardson_solve, direct_solve],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_a_non_finite_sample_is_a_linalg_error(self, case, solver, bad):
+        # one bad sample makes every coefficient non-finite; no solver returns them
+        _, op = case
+        T, u, _ = self.instance(op)
+        u[3] = bad
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(np.linalg.LinAlgError, match="non-finite coefficients"):
+            solver(op, T, u)
+
     @pytest.mark.parametrize("solver", [cg_solve, solve])
     def test_exact_warm_start_stays_the_callers(self, solver):
         # rho = 0 at once: CG returns the warm start's values without an iteration

@@ -281,6 +281,7 @@ class TestRecover:
         with pytest.raises(SolverFailure, match="non-finite") as excinfo:
             recover(op, u, RecoveryConfig(s=2, halting=FixedIterations(5)))
         assert excinfo.value.iteration == 1
+        assert isinstance(excinfo.value.cause, np.linalg.LinAlgError)
 
     def test_noise_floor_on_gated_instance(self, gated_16):
         op, delta = gated_16

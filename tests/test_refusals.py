@@ -3,8 +3,10 @@
 Each row names the call, the exception type and the start of its message.
 ``tools/line_coverage.py`` lists the function-body statements a test run never
 executes; these rows are its ``raise`` statements, the length reads of the
-solvers', the recovery loop's and the noise fold's vector inputs, and the integer
-reads of the counts that enter ``rip_estimate``, ``models`` and ``signals``.  The operator size checks live in
+solvers', the recovery loop's, the step audit's, the polish's, the noise fold's and the
+SNR metrics' vector inputs, the solvers' refusal of a non-finite estimate, and the integer
+reads of the counts that enter ``rip_estimate``, ``prng.sample_many``, ``models`` and
+``signals``.  The operator size checks live in
 ``test_operators.py::TestSizeReader``.
 """
 
@@ -13,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from cosamp import experiment, models, rip, serialize
+from cosamp import experiment, models, prng, rip, serialize
 from cosamp.lsq import cg_solve
 from cosamp.operators import (
     DenseOperator,
@@ -23,8 +25,10 @@ from cosamp.operators import (
     gaussian_operator,
     partial_fourier_operator,
 )
-from cosamp.recovery import FixedIterations, RecoveryConfig, check_halt, recover
+from cosamp.recovery import (FixedIterations, RecoveryConfig, check_halt, cosamp_iteration,
+                             initial_state, iteration_diagnostics, recover)
 from cosamp.signals import SupportSet, as_signal, best_s_approx, embed, head_tail_l1_bound
+from cosamp.variants import final_polish
 
 TINY = {
     "version": "config_v1",
@@ -74,6 +78,20 @@ def _recover(**given):
                    RecoveryConfig(s=3, halting=FixedIterations(3)), **given)
 
 
+def _diagnose(truth=np.zeros(32), noise=None):
+    """The step audit of one iteration on a 16 x 32 Gaussian operator, u = ones(16)."""
+    op, u = gaussian_operator(16, 32, seed=3), np.ones(16)
+    state = cosamp_iteration(initial_state(op, u, 2), op, u, RecoveryConfig(s=2))
+    return iteration_diagnostics(state, truth, noise)
+
+
+def _polish(a):
+    """``final_polish`` of ``a`` on a 16 x 32 Gaussian operator, u = ones(16)."""
+    return final_polish(gaussian_operator(16, 32, seed=1), np.ones(16), a)
+
+
+SPEC = models.CompressibleSpec(0.7, 1.0, 16, 1, 2)
+
 # (id, call of tmp_path, exception type, message start)
 REFUSALS = [
     # experiment
@@ -98,6 +116,14 @@ REFUSALS = [
      DimensionMismatchError, "proxy must have length 64, got shape (64, 1)"),
     ("proxy length", lambda d: _solve(proxy=np.ones(63)),
      DimensionMismatchError, "proxy must have length 64, got shape (63,)"),
+    # lsq: no solve returns a non-finite estimate
+    ("non-finite sample", lambda d: _solve(u=np.full(16, np.nan)),
+     np.linalg.LinAlgError, "estimate has non-finite coefficients"),
+    # variants: final_polish reads a as a finite length-N signal
+    ("polish NaN", lambda d: _polish(np.where(np.isin(np.arange(32), [3, 17]), np.nan, 0.0)),
+     ValueError, "signal contains non-finite entries"),
+    ("polish length", lambda d: _polish(np.zeros(31)),
+     ValueError, "signal has length 31, expected 32"),
     # recovery: truth and noise are read as 1-D vectors of length N and m
     ("truth 2-D", lambda d: _recover(truth=np.zeros((64, 1))),
      DimensionMismatchError, "truth must have length 64, got shape (64, 1)"),
@@ -107,6 +133,13 @@ REFUSALS = [
      DimensionMismatchError, "noise must have length 32, got shape (32, 1)"),
     ("noise length", lambda d: _recover(noise=np.zeros(31)),
      DimensionMismatchError, "noise must have length 32, got shape (31,)"),
+    # recovery: the step audit reads truth and noise as recover does
+    ("audit truth length", lambda d: _diagnose(truth=np.zeros(31)),
+     DimensionMismatchError, "truth must have length 32, got shape (31,)"),
+    ("audit scalar noise", lambda d: _diagnose(noise=[5.0]),
+     DimensionMismatchError, "noise must have length 16, got shape (1,)"),
+    ("audit 3 x 3 noise", lambda d: _diagnose(noise=np.ones((3, 3))),
+     DimensionMismatchError, "noise must have length 16, got shape (3, 3)"),
     # models
     ("compressible p", lambda d: models.CompressibleSpec(1.5, 1.0, 8, 1, 2),
      ValueError, "p must lie in (0, 1]"),
@@ -140,6 +173,22 @@ REFUSALS = [
      TypeError, "s must be an integer, got 2.0"),
     ("dynamic range of zero", lambda d: models.dynamic_range_iterations(np.zeros(4), 2),
      ValueError, "dynamic range is undefined for the zero signal"),
+    ("tail bounds s", lambda d: models.compressible_tail_bounds(SPEC, -1),
+     ValueError, "s must be >= 1"),
+    ("tail bounds s float", lambda d: models.compressible_tail_bounds(SPEC, 2.5),
+     TypeError, "s must be an integer, got 2.5"),
+    ("energy bound s", lambda d: models.compressible_energy_bound(SPEC, 0),
+     ValueError, "s must be >= 1"),
+    ("energy bound s bool", lambda d: models.compressible_energy_bound(SPEC, True),
+     TypeError, "s must be an integer, got True"),
+    ("dynamic range s", lambda d: models.dynamic_range_iterations(np.ones(4), 0),
+     ValueError, "s must be >= 1"),
+    ("dynamic range s float", lambda d: models.dynamic_range_iterations(np.ones(4), 2.5),
+     TypeError, "s must be an integer, got 2.5"),
+    ("fold s", lambda d: models.noise_fold(gaussian_operator(8, 16, seed=1), np.ones(16), 0),
+     ValueError, "s must be >= 1"),
+    ("snr approximation length", lambda d: models.snr_metrics(np.ones(4), [0.0], 1.0),
+     DimensionMismatchError, "approximation must have length 4, got shape (1,)"),
     ("fold scalar noise", lambda d: models.noise_fold(gaussian_operator(8, 16, seed=1),
                                                       np.ones(16), 2, [0.5]),
      DimensionMismatchError, "noise must have length 8, got shape (1,)"),
@@ -160,6 +209,13 @@ REFUSALS = [
      ValueError, "max_iterations must be nonnegative"),
     ("halting rule", lambda d: check_halt(None, "sample_norm"),
      TypeError, "unknown halting rule 'sample_norm'"),
+    # prng: sample_many's sizes are read as integers
+    ("sample many trials float", lambda d: prng.sample_many(0, 2.5, 16, 4),
+     TypeError, "trials must be an integer, got 2.5"),
+    ("sample many n bool", lambda d: prng.sample_many(0, 3, True, 1),
+     TypeError, "n must be an integer, got True"),
+    ("sample many m float", lambda d: prng.sample_many(0, 3, 16, 4.0),
+     TypeError, "m must be an integer, got 4.0"),
     # rip
     ("rip order", lambda d: rip.rip_estimate(gaussian_operator(4, 8, 1), 0),
      ValueError, "need 1 <= r <= N, got r=0"),
@@ -234,6 +290,7 @@ COUNTS = [
     ("fold s", lambda k: models.noise_fold(gaussian_operator(4, 6, seed=1), X, k(2)).folded),
     ("best s", lambda k: best_s_approx(X, k(2))[0]),
     ("tail bound t", lambda k: head_tail_l1_bound(X, k(2))),
+    ("sample many sizes", lambda k: prng.sample_many(0, k(3), k(16), k(4))),
 ]
 
 

@@ -589,10 +589,11 @@ class TestConsequences:
 
 
 class TestBoundedGathers:
-    """The r x r gathers of ``_deviations`` and ``_schatten4_bounds`` are batched by
-    entries, not by supports: 50,000 supports of 6 x 6 at a time, as before, and
-    fewer of a larger r, so near r = N one batch stays ~14 MB instead of growing
-    with the support count.  A matrix's eigenvalues do not depend on its batch."""
+    """The r x r gathers of ``_deviations`` and of the rows ``_max_deviation_over`` passes
+    ``_schatten4_bounds`` are batched by entries, not by supports: 50,000 supports of
+    6 x 6 at a time, as before, and fewer of a larger r, so near r = N one batch stays
+    ~14 MB instead of growing with the support count.  A matrix's eigenvalues and
+    Schatten-4 bound do not depend on its batch."""
 
     def test_near_n_supports_are_solved_in_bounded_batches_with_the_same_bytes(self):
         gram = view_gram(gaussian_operator(24, 32, seed=77))
@@ -607,13 +608,14 @@ class TestBoundedGathers:
         eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
         assert got.tobytes() == np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0]).tobytes()
 
-    def test_schatten4_bounds_keep_their_bytes_in_batches(self, monkeypatch):
+    def test_schatten4_bounds_keep_their_bytes_in_batches(self):
+        # _schatten4_bounds gathers what it is given; its caller cuts the batches
         gram = view_gram(gaussian_operator(24, 32, seed=77))
         dev = rip._hermitian_deviation(gram)
         supports = prng.sample_many(4, 500, 32, 12)
         whole = rip._schatten4_bounds(dev, supports)
-        monkeypatch.setattr(rip, "_GATHER", 144 * 7)  # batches of 7 supports
-        assert rip._schatten4_bounds(dev, supports).tobytes() == whole.tobytes()
+        batches = [rip._schatten4_bounds(dev, supports[i : i + 7]) for i in range(0, 500, 7)]
+        assert np.concatenate(batches).tobytes() == whole.tobytes()
 
     def test_rip_certs_orders_keep_their_single_batch(self):
         # exhaustive delta_6 solves at most 50,000 supports per batch, as before,
